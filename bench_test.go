@@ -524,7 +524,7 @@ func BenchmarkCTCompile(b *testing.B) {
 
 func BenchmarkSolver(b *testing.B) {
 	x := symx.NewVar("x", mem.Public)
-	s := symx.NewSolver(1)
+	s := symx.NewSolver()
 	cond := symx.PCond(
 		symx.Constraint{E: symx.Apply(isa.OpGt, x, symx.CW(4)), Truthy: true},
 		symx.Constraint{E: symx.Apply(isa.OpLt, x, symx.CW(64)), Truthy: true},
@@ -563,7 +563,7 @@ func BenchmarkSolverColdStart(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := symx.NewSolver(1)
+		s := symx.NewSolver()
 		if _, ok := s.Solve(cond); !ok {
 			b.Fatal("unsolved")
 		}
@@ -575,7 +575,7 @@ func BenchmarkSolverColdStart(b *testing.B) {
 // (each branch adds one constraint to an already-solved parent).
 func BenchmarkSolverIncremental(b *testing.B) {
 	x := symx.NewVar("x", mem.Public)
-	s := symx.NewSolver(1)
+	s := symx.NewSolver()
 	base := solverChain(4)
 	if _, ok := s.Solve(base); !ok {
 		b.Fatal("unsolved base")
@@ -600,7 +600,7 @@ func BenchmarkSolverIncremental(b *testing.B) {
 // BenchmarkSolverCacheHit re-solves one warm query — the repeated
 // Feasible/Concretize pattern on an unchanged path condition.
 func BenchmarkSolverCacheHit(b *testing.B) {
-	s := symx.NewSolver(1)
+	s := symx.NewSolver()
 	cond := solverChain(12)
 	if _, ok := s.Solve(cond); !ok {
 		b.Fatal("unsolved")

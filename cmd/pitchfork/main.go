@@ -257,8 +257,8 @@ func reportSolver(rep *spectre.Report) {
 	if s == nil {
 		return
 	}
-	fmt.Printf("solver: %d queries (%d cache hits, %d definite-unsat, %d domain-narrowed, %d parent-extended), %d probe iterations\n",
-		s.Queries, s.CacheHits, s.DefiniteUnsats, s.PropPruned, s.ExtendHits, s.ProbeIters)
+	fmt.Printf("solver: %d queries (%d cache hits, %d definite-unsat, %d domain-narrowed, %d parent-extended, %d unknown), %d search nodes\n",
+		s.Queries, s.CacheHits, s.DefiniteUnsats, s.PropPruned, s.ExtendHits, s.Unknowns, s.ProbeIters)
 }
 
 func reportFindings(rep *spectre.Report) {

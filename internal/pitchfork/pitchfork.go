@@ -54,8 +54,6 @@ type Options struct {
 	// (0 = off); symbolic fingerprints include the path condition. See
 	// sched.Options.DedupEntries for the trade-offs.
 	DedupEntries int
-	// SolverSeed seeds the symbolic solver (symbolic mode only).
-	SolverSeed int64
 	// OnViolation, if non-nil, is invoked synchronously as each
 	// violation is found, before exploration continues. Returning false
 	// stops the analysis early; everything found so far stays in the
@@ -112,7 +110,10 @@ type Report struct {
 	Violations []Violation
 	States     int
 	Paths      int
-	Truncated  bool
+	// Truncated reports an inconclusive run: the MaxStates budget was
+	// exhausted, or (symbolic mode) a solver query ended unknown, so a
+	// branch arm or concretization target may have gone unexplored.
+	Truncated bool
 	// Interrupted reports whether Options.Interrupt (or an OnViolation
 	// callback returning false) cut the analysis short.
 	Interrupted bool

@@ -304,3 +304,27 @@ func TestViolationString(t *testing.T) {
 		t.Fatal("empty violation string")
 	}
 }
+
+// A branch the solver can neither satisfy nor refute within its node
+// budget (a nonlinear square root) must not be pruned silently: the
+// symbolic report counts the unknown and is truncated, like a run that
+// ran out of states.
+func TestSymbolicSolverUnknownTruncates(t *testing.T) {
+	r := mem.Word(1<<20 + 7)
+	b := isa.NewBuilder(1)
+	b.Op(rb, isa.OpMul, isa.R(ra), isa.R(ra))                       // 1
+	b.Br(isa.OpEq, []isa.Operand{isa.R(rb), isa.ImmW(r * r)}, 3, 4) // 2
+	b.Op(rc, isa.OpMov, isa.ImmW(1))                                // 3
+	sm := NewSym(b.MustBuild())
+	sm.SetReg(ra, symx.NewVar("x", mem.Public))
+	rep, err := AnalyzeSymbolic(sm, Options{Bound: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Solver == nil || rep.Solver.Unknowns != 1 {
+		t.Fatalf("solver stats %+v; want exactly 1 unknown", rep.Solver)
+	}
+	if !rep.Truncated {
+		t.Fatal("a report that pruned on an unknown must be truncated")
+	}
+}

@@ -119,8 +119,8 @@ func (t *symTransient) assigns(r isa.Reg) bool {
 // symMachine is the symbolic domain: one speculative machine
 // configuration over expressions, implementing sched.Machine. The
 // solver and concretizer are shared across clones — they are
-// stateless per query (deterministically self-seeding), so concurrent
-// exploration workers may use them without coordination.
+// stateless per query (each answer is a function of the query alone),
+// so concurrent exploration workers may use them without coordination.
 //
 // The configuration is copy-on-write end to end: registers and memory
 // are overlay chains (symx.RegFile / symx.Memory), the RSB journal
@@ -160,8 +160,8 @@ type symMachine struct {
 }
 
 // newSymMachine lowers an initial configuration into the domain.
-func newSymMachine(m *SymMachine, solverSeed int64) *symMachine {
-	solver := symx.NewSolver(solverSeed + 1)
+func newSymMachine(m *SymMachine) *symMachine {
+	solver := symx.NewSolver()
 	s := &symMachine{
 		prog:           m.Prog,
 		regs:           symx.NewRegFile(),
@@ -906,7 +906,7 @@ func (s *symMachine) Fingerprint() uint64 {
 }
 
 // exprHash is the structural expression hash shared with the solver's
-// query seeding.
+// cache keys.
 func exprHash(e symx.Expr) uint64 { return symx.Fingerprint(e) }
 
 // hash folds every semantically meaningful transient field, with nil
@@ -1000,15 +1000,15 @@ func AnalyzeSymbolic(m *SymMachine, opts Options) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("pitchfork: %w", err)
 	}
-	sm := newSymMachine(m, opts.SolverSeed)
+	sm := newSymMachine(m)
 	res := e.ExploreMachine(sm)
+	stats := sm.solver.Stats()
 	rep := Report{
 		States: res.States, Paths: res.Paths,
-		Truncated: res.Truncated, Interrupted: res.Interrupted,
+		Truncated: res.Truncated || stats.Unknowns > 0, Interrupted: res.Interrupted,
 		Mode: "symbolic", Workers: res.Workers, DedupHits: res.DedupHits,
+		Solver: &stats,
 	}
-	stats := sm.solver.Stats()
-	rep.Solver = &stats
 	for _, v := range res.Violations {
 		rep.Violations = append(rep.Violations, violationOf(v))
 	}

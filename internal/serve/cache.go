@@ -99,10 +99,13 @@ type Cache struct {
 	flt *faults
 
 	// Disk-tier index: an LRU over persisted entries with their framed
-	// sizes, what the byte-budget GC evicts from. Guarded by dmu; file
-	// I/O happens outside the lock, so a reader can race an eviction —
-	// that window resolves to either a served (correct) value or a
-	// miss, never a wrong value, and the test suite pins it.
+	// sizes, what the byte-budget GC evicts from. Guarded by dmu, which
+	// also covers every change to which entry files exist (publishing
+	// rename, eviction, quarantine), so the index always describes the
+	// files on disk. Reads and the writes of temp files happen outside
+	// the lock, so a reader can race an eviction — that window resolves
+	// to either a served (correct) value or a miss, never a wrong value
+	// or a stale index entry, and the test suite pins it.
 	dmu     sync.Mutex
 	dindex  map[string]*list.Element
 	dlru    *list.List // front = most recently used
@@ -110,6 +113,10 @@ type Cache struct {
 	dbudget int64
 
 	tmpSeq atomic.Uint64
+
+	// afterDiskRead, when set (tests only), runs between a disk read
+	// and the index update that follows it.
+	afterDiskRead func(key string)
 
 	disabled   atomic.Bool
 	consecFail atomic.Int64
@@ -238,11 +245,14 @@ func (c *Cache) Get(key string) ([]byte, Tier) {
 	} else {
 		data, err = os.ReadFile(path)
 	}
+	if c.afterDiskRead != nil {
+		c.afterDiskRead(key)
+	}
 	if err != nil {
 		if os.IsNotExist(err) {
 			// Evicted or never written: an ordinary miss, and any stale
 			// index entry goes with it.
-			c.dropDiskIndex(key)
+			c.forgetMissing(key)
 		} else {
 			c.diskFailure()
 		}
@@ -257,7 +267,7 @@ func (c *Cache) Get(key string) ([]byte, Tier) {
 	c.mu.Lock()
 	c.insertLocked(key, val)
 	c.mu.Unlock()
-	c.touchDisk(key, int64(len(data)))
+	c.refreshDisk(key)
 	return val, TierDisk
 }
 
@@ -281,8 +291,9 @@ func (c *Cache) Put(key string, val []byte) {
 		tmp := fmt.Sprintf("%s.tmp%d", c.diskPath(key), c.tmpSeq.Add(1))
 		err = os.WriteFile(tmp, data, 0o644)
 		if err == nil {
-			err = os.Rename(tmp, c.diskPath(key))
-		} else {
+			err = c.publish(tmp, key, int64(len(data)))
+		}
+		if err != nil {
 			os.Remove(tmp)
 		}
 	}
@@ -291,7 +302,6 @@ func (c *Cache) Put(key string, val []byte) {
 		return
 	}
 	c.diskOK()
-	c.touchDisk(key, int64(len(data)))
 	c.gc()
 }
 
@@ -309,27 +319,51 @@ func (c *Cache) insertLocked(key string, val []byte) {
 	}
 }
 
-// touchDisk records (or refreshes) a disk-tier index entry at the LRU
-// front with its current framed size.
-func (c *Cache) touchDisk(key string, size int64) {
+// publish renames a written temp file into place as key's entry and
+// indexes it at the LRU front with its framed size, as one step with
+// respect to gc and quarantine.
+func (c *Cache) publish(tmp, key string, size int64) error {
 	c.dmu.Lock()
 	defer c.dmu.Unlock()
+	if err := os.Rename(tmp, c.diskPath(key)); err != nil {
+		return err
+	}
 	if el, ok := c.dindex[key]; ok {
 		de := el.Value.(*diskEntry)
 		c.dbytes += size - de.size
 		de.size = size
 		c.dlru.MoveToFront(el)
-		return
+		return nil
 	}
 	c.dindex[key] = c.dlru.PushFront(&diskEntry{key: key, size: size})
 	c.dbytes += size
+	return nil
 }
 
-// dropDiskIndex forgets a disk-tier entry (evicted, quarantined, or
-// externally removed) without touching the file.
-func (c *Cache) dropDiskIndex(key string) {
+// refreshDisk moves key's index entry to the LRU front after a read.
+// It never inserts one: an entry gone from the index was evicted (or
+// quarantined) after the read, and its file with it.
+func (c *Cache) refreshDisk(key string) {
 	c.dmu.Lock()
 	defer c.dmu.Unlock()
+	if el, ok := c.dindex[key]; ok {
+		c.dlru.MoveToFront(el)
+	}
+}
+
+// forgetMissing drops key's index entry after a read found no file —
+// unless a Put has published the entry since.
+func (c *Cache) forgetMissing(key string) {
+	c.dmu.Lock()
+	defer c.dmu.Unlock()
+	if _, err := os.Stat(c.diskPath(key)); os.IsNotExist(err) {
+		c.dropDiskIndexLocked(key)
+	}
+}
+
+// dropDiskIndexLocked forgets a disk-tier entry without touching the
+// file. The caller holds dmu.
+func (c *Cache) dropDiskIndexLocked(key string) {
 	if el, ok := c.dindex[key]; ok {
 		c.dbytes -= el.Value.(*diskEntry).size
 		c.dlru.Remove(el)
@@ -338,25 +372,19 @@ func (c *Cache) dropDiskIndex(key string) {
 }
 
 // gc evicts least-recently-used disk entries until the tier fits the
-// byte budget. Victims are chosen under the index lock but removed
-// outside it; a concurrent reader of a victim either finishes its read
-// (serving a still-correct value) or sees not-exist (a miss).
+// byte budget. Each victim leaves the index and the directory under
+// the index lock, so no Put of the same key can land in between; a
+// concurrent reader of a victim either finishes its read (serving a
+// still-correct value) or sees not-exist (a miss).
 func (c *Cache) gc() {
 	if c.dbudget <= 0 {
 		return
 	}
-	var victims []string
 	c.dmu.Lock()
+	defer c.dmu.Unlock()
 	for c.dbytes > c.dbudget && c.dlru.Len() > 0 {
-		oldest := c.dlru.Back()
-		de := oldest.Value.(*diskEntry)
-		c.dlru.Remove(oldest)
-		delete(c.dindex, de.key)
-		c.dbytes -= de.size
-		victims = append(victims, de.key)
-	}
-	c.dmu.Unlock()
-	for _, key := range victims {
+		key := c.dlru.Back().Value.(*diskEntry).key
+		c.dropDiskIndexLocked(key)
 		os.Remove(c.diskPath(key))
 		c.gcEvictions.Add(1)
 	}
@@ -366,8 +394,10 @@ func (c *Cache) gc() {
 // and never be retried, but an operator may want the bytes.
 func (c *Cache) quarantine(key, path string) {
 	c.quarantined.Add(1)
+	c.dmu.Lock()
+	defer c.dmu.Unlock()
 	os.Rename(path, path+quarantineSuffix) //nolint:errcheck // best-effort: a failed rename degrades to a reread next time
-	c.dropDiskIndex(key)
+	c.dropDiskIndexLocked(key)
 }
 
 // diskFailure counts one persistent-tier I/O failure; diskFailureLimit

@@ -276,6 +276,60 @@ func TestDiskGCConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestDiskGCEvictionBetweenReadAndRefresh lands a Put between a disk
+// read and the index update that follows it — deterministically,
+// through the cache's read hook — and checks that the index still
+// accounts exactly the bytes on disk: a read must not re-index an
+// entry evicted after it, and a miss must not drop an entry published
+// after it.
+func TestDiskGCEvictionBetweenReadAndRefresh(t *testing.T) {
+	val := bytes.Repeat([]byte("v"), 400)
+	framed := int64(len(frame(val)))
+	setup := func(t *testing.T) (*Cache, string) {
+		dir := t.TempDir()
+		c, err := NewCache(1, dir, 2*framed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Put("a", val)
+		c.Put("b", val) // the 1-entry memory tier now holds only b
+		return c, dir
+	}
+	check := func(t *testing.T, c *Cache, dir string) {
+		t.Helper()
+		if got, want := c.Stats().DiskBytes, diskUsage(t, dir); got != want {
+			t.Errorf("accounted disk bytes %d, actual %d", got, want)
+		}
+	}
+
+	t.Run("evicted after a hit", func(t *testing.T) {
+		c, dir := setup(t)
+		c.afterDiskRead = func(string) {
+			c.afterDiskRead = nil
+			c.Put("c", val) // over budget: the GC evicts a, the LRU tail
+		}
+		if got, tier := c.Get("a"); tier != TierDisk || !bytes.Equal(got, val) {
+			t.Fatalf("Get(a) = %d bytes from tier %v; want the disk entry", len(got), tier)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "a.json")); !os.IsNotExist(err) {
+			t.Fatalf("a was not evicted: %v", err)
+		}
+		check(t, c, dir)
+	})
+
+	t.Run("published after a miss", func(t *testing.T) {
+		c, dir := setup(t)
+		c.afterDiskRead = func(string) {
+			c.afterDiskRead = nil
+			c.Put("z", val)
+		}
+		if _, tier := c.Get("z"); tier != TierNone {
+			t.Fatalf("Get(z) answered from tier %v before z existed", tier)
+		}
+		check(t, c, dir)
+	})
+}
+
 // TestDiskDegradedAfterRepeatedFailures: a persistently failing disk
 // must cost the persistent tier, not availability. After
 // diskFailureLimit consecutive I/O failures the tier is disabled,

@@ -8,13 +8,11 @@ package symx
 // the conjuncts whose variables changed, and a bounded fingerprint-
 // keyed result cache shared across exploration workers.
 //
-// Everything here is deliberately filter-shaped: the domains
-// over-approximate the model set, so they are only ever used to (a)
-// return definite UNSAT when a variable's domain is empty and (b) skip
-// evaluating candidates that provably cannot be models. A candidate
-// the old from-scratch search would have accepted is never skipped,
-// which is what keeps witnesses, concretized addresses, and
-// exploration counters bit-identical to the historical search.
+// The domains over-approximate the model set, so an empty domain is a
+// proof of unsatisfiability and a domain never excludes a model. The
+// solver's search (solver.go) relies on exactly that: it splits
+// domains and re-propagates, refuting a branch only when its domains
+// empty.
 
 import (
 	"math/bits"
@@ -66,20 +64,18 @@ func (d vdom) contains(w mem.Word) bool {
 	return w >= d.lo && w <= d.hi && w&d.known == d.bit
 }
 
-// norm reconciles the interval and bit halves: the pattern bounds the
-// interval, the shared leading bits of the interval become known, and
-// a direct disagreement collapses to the empty domain.
+// norm reconciles the interval and bit halves: the interval shrinks to
+// its least and greatest words matching the pattern (so both bounds
+// are members), the shared leading bits of the interval become known,
+// and a disagreement collapses to the empty domain.
 func (d vdom) norm() vdom {
 	d.bit &= d.known
-	if d.lo < d.bit {
-		d.lo = d.bit
-	}
-	if top := d.bit | ^d.known; d.hi > top {
-		d.hi = top
-	}
-	if d.lo > d.hi {
+	lo, okLo := leastAtLeast(d.lo, d.known, d.bit)
+	hi, okHi := greatestAtMost(d.hi, d.known, d.bit)
+	if !okLo || !okHi || lo > hi {
 		return emptyDom
 	}
+	d.lo, d.hi = lo, hi
 	if n := bits.Len64(uint64(d.lo ^ d.hi)); n < 64 {
 		pm := ^mem.Word(0) << uint(n)
 		pv := d.lo & pm
@@ -93,6 +89,38 @@ func (d vdom) norm() vdom {
 		d.known, d.bit = ^mem.Word(0), d.lo
 	}
 	return d
+}
+
+// leastAtLeast returns the least word w ≥ lo with w&known == bit, and
+// false when there is none.
+func leastAtLeast(lo, known, bit mem.Word) (mem.Word, bool) {
+	diff := (lo ^ bit) & known
+	if diff == 0 {
+		return lo, true
+	}
+	p := 63 - bits.LeadingZeros64(uint64(diff)) // highest disagreeing known bit
+	if bit>>uint(p)&1 == 1 {
+		// lo has 0 where the pattern needs 1: keep lo above p, then the
+		// pattern with every free bit clear.
+		m := lowMask(p + 1)
+		return lo&^m | bit&m, true
+	}
+	// lo has 1 where the pattern needs 0: the prefix above p must grow,
+	// at the lowest free bit above p that lo has clear.
+	free := ^known &^ lo &^ lowMask(p+1)
+	if free == 0 {
+		return 0, false
+	}
+	q := bits.TrailingZeros64(uint64(free))
+	return lo&^lowMask(q+1) | 1<<uint(q) | bit&lowMask(q), true
+}
+
+// greatestAtMost returns the greatest word w ≤ hi with w&known == bit:
+// the complement of the least word ≥ ^hi matching the complemented
+// pattern.
+func greatestAtMost(hi, known, bit mem.Word) (mem.Word, bool) {
+	w, ok := leastAtLeast(^hi, known, ^bit&known)
+	return ^w, ok
 }
 
 // meetInterval intersects with [lo,hi].
@@ -116,14 +144,9 @@ func (d vdom) meetBits(mask, val mem.Word) vdom {
 	return d.norm()
 }
 
-// join is the lattice join (set union, over-approximated).
+// domJoin is the lattice join of two non-empty domains (set union,
+// over-approximated).
 func domJoin(a, b vdom) vdom {
-	if a.empty() {
-		return b
-	}
-	if b.empty() {
-		return a
-	}
 	out := vdom{lo: a.lo, hi: a.hi}
 	if b.lo < out.lo {
 		out.lo = b.lo
@@ -150,10 +173,10 @@ func trailingKnown(a, b vdom) int {
 	return bits.TrailingZeros64(uint64(^m))
 }
 
+// The transfer functions below take non-empty operands: aevalOp
+// answers ⊥ itself when an operand is empty.
+
 func domAdd(a, b vdom) vdom {
-	if a.empty() || b.empty() {
-		return emptyDom
-	}
 	d := fullDom
 	cl := a.lo > ^mem.Word(0)-b.lo
 	ch := a.hi > ^mem.Word(0)-b.hi
@@ -170,9 +193,6 @@ func domAdd(a, b vdom) vdom {
 }
 
 func domSub(a, b vdom) vdom {
-	if a.empty() || b.empty() {
-		return emptyDom
-	}
 	d := fullDom
 	if a.lo >= b.hi || a.hi < b.lo { // no borrow anywhere, or borrow everywhere
 		d = ivl(a.lo-b.hi, a.hi-b.lo)
@@ -185,9 +205,6 @@ func domSub(a, b vdom) vdom {
 }
 
 func domNeg(a vdom) vdom {
-	if a.empty() {
-		return emptyDom
-	}
 	if w, ok := a.singleton(); ok {
 		return domConst(-w)
 	}
@@ -198,16 +215,10 @@ func domNeg(a vdom) vdom {
 }
 
 func domNot(a vdom) vdom {
-	if a.empty() {
-		return emptyDom
-	}
 	return vdom{lo: ^a.hi, hi: ^a.lo, known: a.known, bit: ^a.bit & a.known}.norm()
 }
 
 func domAnd(a, b vdom) vdom {
-	if a.empty() || b.empty() {
-		return emptyDom
-	}
 	known1 := a.known & a.bit & b.known & b.bit
 	known0 := (a.known &^ a.bit) | (b.known &^ b.bit)
 	hi := a.hi
@@ -218,9 +229,6 @@ func domAnd(a, b vdom) vdom {
 }
 
 func domOr(a, b vdom) vdom {
-	if a.empty() || b.empty() {
-		return emptyDom
-	}
 	known1 := (a.known & a.bit) | (b.known & b.bit)
 	known0 := a.known &^ a.bit & b.known &^ b.bit
 	lo := a.lo
@@ -232,37 +240,35 @@ func domOr(a, b vdom) vdom {
 }
 
 func domXor(a, b vdom) vdom {
-	if a.empty() || b.empty() {
-		return emptyDom
-	}
 	known := a.known & b.known
 	return vdom{lo: 0, hi: ^mem.Word(0), known: known, bit: (a.bit ^ b.bit) & known}.norm()
 }
 
 func domMul(a, b vdom) vdom {
-	if a.empty() || b.empty() {
-		return emptyDom
-	}
+	d := fullDom
 	if hi, _ := bits.Mul64(uint64(a.hi), uint64(b.hi)); hi == 0 {
-		return ivl(a.lo*b.lo, a.hi*b.hi)
+		d = ivl(a.lo*b.lo, a.hi*b.hi)
 	}
-	return fullDom
+	// As for sums, the low bits of a product depend only on the low
+	// bits of the factors.
+	if tz := trailingKnown(a, b); tz > 0 {
+		m := lowMask(tz)
+		d = d.meetBits(m, (a.bit*b.bit)&m)
+	}
+	return d
 }
 
 func domDiv(a, b vdom) vdom {
-	if a.empty() || b.empty() {
-		return emptyDom
-	}
 	if b.lo > 0 {
 		return ivl(a.lo/b.hi, a.hi/b.lo)
+	}
+	if b.hi == 0 {
+		return domConst(0) // x/0 = 0
 	}
 	return ivl(0, a.hi) // x/0 = 0, and x/y ≤ x otherwise
 }
 
 func domMod(a, b vdom) vdom {
-	if a.empty() || b.empty() {
-		return emptyDom
-	}
 	hi := a.hi
 	if b.hi > 0 && b.hi-1 < hi {
 		hi = b.hi - 1
@@ -274,9 +280,6 @@ func domMod(a, b vdom) vdom {
 }
 
 func domShl(a, b vdom) vdom {
-	if a.empty() || b.empty() {
-		return emptyDom
-	}
 	s, ok := b.singleton()
 	if !ok {
 		return fullDom
@@ -290,12 +293,9 @@ func domShl(a, b vdom) vdom {
 }
 
 func domShr(a, b vdom) vdom {
-	if a.empty() || b.empty() {
-		return emptyDom
-	}
 	s, ok := b.singleton()
 	if !ok {
-		return fullDom
+		return ivl(0, a.hi) // a right shift never grows a word
 	}
 	k := int(s & 63)
 	var highKnown mem.Word
@@ -307,26 +307,15 @@ func domShr(a, b vdom) vdom {
 }
 
 func domSar(a, b vdom) vdom {
-	if a.empty() || b.empty() {
-		return emptyDom
-	}
-	s, ok := b.singleton()
-	if !ok {
-		return fullDom
-	}
 	if a.hi < 1<<63 { // sign bit provably clear: logical shift
 		return domShr(a, b)
 	}
-	_ = s
 	return fullDom
 }
 
 // domCmpU decides an unsigned comparison (or Eq/Ne) when the operand
 // domains allow, returning {0}, {1}, or {0,1}.
 func domCmpU(code isa.Opcode, a, b vdom) vdom {
-	if a.empty() || b.empty() {
-		return emptyDom
-	}
 	disjoint := a.hi < b.lo || b.hi < a.lo || (a.bit^b.bit)&a.known&b.known != 0
 	as, aok := a.singleton()
 	bs, bok := b.singleton()
@@ -395,27 +384,53 @@ func aeval(e Expr, vidx map[string]int, doms []vdom) vdom {
 }
 
 func aevalOp(o Op, vidx map[string]int, doms []vdom) vdom {
+	var buf [opArgBuf]vdom
+	args := buf[:0]
+	if len(o.Args) > opArgBuf {
+		args = make([]vdom, 0, len(o.Args))
+	}
+	points := true
+	for _, a := range o.Args {
+		d := aeval(a, vidx, doms)
+		if d.empty() {
+			return emptyDom
+		}
+		points = points && d.lo == d.hi
+		args = append(args, d)
+	}
+	if points {
+		// Every operand is a single word: the opcode itself is exact.
+		var vbuf [opArgBuf]mem.Value
+		vals := vbuf[:0]
+		for _, d := range args {
+			vals = append(vals, mem.Pub(d.lo))
+		}
+		if v, err := isa.Eval(o.Code, vals); err == nil {
+			return domConst(v.W)
+		}
+		return fullDom
+	}
 	// Arity is validated defensively; Apply-built trees always conform.
 	bin := func(f func(a, b vdom) vdom) vdom {
-		if len(o.Args) != 2 {
+		if len(args) != 2 {
 			return fullDom
 		}
-		return f(aeval(o.Args[0], vidx, doms), aeval(o.Args[1], vidx, doms))
+		return f(args[0], args[1])
 	}
 	un := func(f func(a vdom) vdom) vdom {
-		if len(o.Args) != 1 {
+		if len(args) != 1 {
 			return fullDom
 		}
-		return f(aeval(o.Args[0], vidx, doms))
+		return f(args[0])
 	}
 	switch o.Code {
 	case isa.OpAdd:
-		if len(o.Args) == 0 {
+		if len(args) == 0 {
 			return fullDom
 		}
-		d := aeval(o.Args[0], vidx, doms)
-		for _, a := range o.Args[1:] {
-			d = domAdd(d, aeval(a, vidx, doms))
+		d := args[0]
+		for _, a := range args[1:] {
+			d = domAdd(d, a)
 		}
 		return d
 	case isa.OpSub:
@@ -445,27 +460,20 @@ func aevalOp(o Op, vidx map[string]int, doms []vdom) vdom {
 	case isa.OpMov:
 		return un(func(a vdom) vdom { return a })
 	case isa.OpEq, isa.OpNe, isa.OpLt, isa.OpLe, isa.OpGt, isa.OpGe:
-		if len(o.Args) != 2 {
-			return fullDom
-		}
-		return domCmpU(o.Code, aeval(o.Args[0], vidx, doms), aeval(o.Args[1], vidx, doms))
+		return bin(func(a, b vdom) vdom { return domCmpU(o.Code, a, b) })
 	case isa.OpSlt, isa.OpSle, isa.OpSgt, isa.OpSge:
 		return boolDom
 	case isa.OpSelect:
-		if len(o.Args) != 3 {
+		if len(args) != 3 {
 			return fullDom
 		}
-		c := aeval(o.Args[0], vidx, doms)
-		if c.empty() {
-			return emptyDom
+		if args[0].definitelyNonzero() {
+			return args[1]
 		}
-		if c.definitelyNonzero() {
-			return aeval(o.Args[1], vidx, doms)
+		if w, ok := args[0].singleton(); ok && w == 0 {
+			return args[2]
 		}
-		if w, ok := c.singleton(); ok && w == 0 {
-			return aeval(o.Args[2], vidx, doms)
-		}
-		return domJoin(aeval(o.Args[1], vidx, doms), aeval(o.Args[2], vidx, doms))
+		return domJoin(args[1], args[2])
 	case isa.OpSucc: // v0 - 1 (stack grows down)
 		return un(func(a vdom) vdom { return domSub(a, domConst(1)) })
 	case isa.OpPred: // v0 + 1
@@ -803,8 +811,8 @@ func varMaskOf(e Expr, vidx map[string]int) uint64 {
 // evalCtx is the incremental evaluator behind one solve: it holds the
 // working assignment and per-conjunct satisfaction flags, and on each
 // variable update re-evaluates only the conjuncts whose variable
-// footprint intersects the change — candidate probing no longer
-// re-walks the whole chain per candidate.
+// footprint intersects the change — testing a candidate does not
+// re-walk the whole chain.
 type evalCtx struct {
 	vars []string
 	cons []Constraint
@@ -858,17 +866,6 @@ func (ec *evalCtx) set(i int, w mem.Word) {
 	}
 }
 
-// hopeless reports a variable-free conjunct that is false: no
-// assignment can ever flip it.
-func (ec *evalCtx) hopeless() bool {
-	for k := range ec.cons {
-		if ec.mask[k] == 0 && !ec.sat[k] {
-			return true
-		}
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------
 // Result cache.
 // ---------------------------------------------------------------------
@@ -876,10 +873,11 @@ func (ec *evalCtx) hopeless() bool {
 // solveEntry is one memoized solve result. Entries are immutable after
 // publication; env maps are shared (callers must not mutate models).
 type solveEntry struct {
-	doms  []vdom // variable domains at the propagation fixpoint
-	env   Env    // model, when ok
-	ok    bool   // a model was found
-	unsat bool   // propagation proved the conjunction empty (definite)
+	node  *pcNode // the chain this entry answers (cache hits must match it)
+	doms  []vdom  // variable domains at the propagation fixpoint
+	env   Env     // model, when ok
+	ok    bool    // a model was found
+	unsat bool    // propagation or search refuted the conjunction (definite)
 }
 
 var emptyEntry = &solveEntry{env: Env{}, ok: true}
@@ -892,8 +890,8 @@ const (
 // modelCache memoizes solve results by path-condition fingerprint.
 // Sharded mutexes keep exploration workers out of each other's way;
 // FIFO eviction bounds memory. Solve results are a pure function of
-// (solver seed, query), so concurrent duplicate computation is
-// harmless — both workers publish identical entries.
+// the query, so concurrent duplicate computation is harmless — both
+// workers publish identical entries.
 type modelCache struct {
 	shards [cacheShards]cacheShard
 }
@@ -955,14 +953,16 @@ type solverCounters struct {
 	propPruned     atomic.Uint64
 	extendHits     atomic.Uint64
 	probeIters     atomic.Uint64
+	unknowns       atomic.Uint64
 }
 
 // SolverStats is a snapshot of the constraint engine's counters for
 // one analysis: queries answered, answers served from the
-// fingerprint-keyed cache, queries settled UNSAT by domain
-// propagation alone, queries whose probe space was narrowed by
-// propagation, models obtained by extending the parent condition's
-// model, and total random-probe iterations spent.
+// fingerprint-keyed cache, queries refuted (by propagation or by the
+// search), queries whose domains propagation narrowed, models obtained
+// by extending the parent condition's model, search nodes expanded
+// beyond each query's root, and queries the search gave up on within
+// its node budget (neither a model nor a refutation).
 type SolverStats struct {
 	Queries        uint64
 	CacheHits      uint64
@@ -970,6 +970,7 @@ type SolverStats struct {
 	PropPruned     uint64
 	ExtendHits     uint64
 	ProbeIters     uint64
+	Unknowns       uint64
 }
 
 // Stats snapshots the solver's counters.
@@ -981,5 +982,6 @@ func (s *Solver) Stats() SolverStats {
 		PropPruned:     s.counters.propPruned.Load(),
 		ExtendHits:     s.counters.extendHits.Load(),
 		ProbeIters:     s.counters.probeIters.Load(),
+		Unknowns:       s.counters.unknowns.Load(),
 	}
 }

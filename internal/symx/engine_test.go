@@ -3,6 +3,7 @@ package symx
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pitchfork/internal/isa"
@@ -45,10 +46,15 @@ func genCond(rng *rand.Rand, vars []Var) PathCondition {
 	return p
 }
 
-// bruteGridModel searches the solver's seed grid exhaustively with
-// plain Holds evaluation — an independent reference for what the
-// historical search could reach deterministically.
-func bruteGridModel(s *Solver, p PathCondition) (Env, bool) {
+// gridWords is the per-variable word grid the reference search below
+// enumerates: small values, powers of two and their neighbours, and
+// the top of the word range.
+var gridWords = []mem.Word{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 63, 64, 100, 127, 128, 200, 255, 256, 1 << 12, 1 << 16, ^mem.Word(0), ^mem.Word(0) - 1, 1 << 63}
+
+// bruteGridModel searches the word grid exhaustively with plain Holds
+// evaluation — an independent reference the solver must match: every
+// grid-satisfiable condition must be solved.
+func bruteGridModel(p PathCondition) (Env, bool) {
 	vars := p.Vars()
 	env := make(Env, len(vars))
 	var rec func(i int) bool
@@ -56,7 +62,7 @@ func bruteGridModel(s *Solver, p PathCondition) (Env, bool) {
 		if i == len(vars) {
 			return p.Holds(env)
 		}
-		for _, w := range s.Seeds {
+		for _, w := range gridWords {
 			env[vars[i]] = w
 			if rec(i + 1) {
 				return true
@@ -74,7 +80,7 @@ func bruteGridModel(s *Solver, p PathCondition) (Env, bool) {
 func TestEngineModelsSatisfy(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	vars := []Var{NewVar("x", mem.Public), NewVar("y", mem.Public), NewVar("z", mem.Secret)}
-	s := NewSolver(7)
+	s := NewSolver()
 	for i := 0; i < 400; i++ {
 		p := genCond(rng, vars[:1+rng.Intn(3)])
 		if env, ok := s.Solve(p); ok && !p.Holds(env) {
@@ -85,15 +91,15 @@ func TestEngineModelsSatisfy(t *testing.T) {
 
 // Property: interval/known-bits propagation never excludes a real
 // model — in particular it never declares UNSAT on a condition the
-// seed grid can satisfy, and the engine still finds a model there
+// reference grid can satisfy, and the engine still finds a model there
 // (the domains are filters, not oracles).
 func TestEnginePropagationRetainsModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	vars := []Var{NewVar("x", mem.Public), NewVar("y", mem.Public)}
-	s := NewSolver(7)
+	s := NewSolver()
 	for i := 0; i < 250; i++ {
 		p := genCond(rng, vars[:1+rng.Intn(2)])
-		m, satisfiable := bruteGridModel(s, p)
+		m, satisfiable := bruteGridModel(p)
 		pv := p.Vars()
 		vidx := make(map[string]int, len(pv))
 		for j, v := range pv {
@@ -129,7 +135,7 @@ func TestEngineIncrementalMatchesScratch(t *testing.T) {
 	vars := []Var{NewVar("x", mem.Public), NewVar("y", mem.Public), NewVar("z", mem.Secret)}
 	for i := 0; i < 150; i++ {
 		p := genCond(rng, vars[:1+rng.Intn(3)])
-		warm := NewSolver(5)
+		warm := NewSolver()
 		var chain []PathCondition
 		for n := p.n; n != nil; n = n.parent {
 			chain = append(chain, PathCondition{n: n})
@@ -138,7 +144,7 @@ func TestEngineIncrementalMatchesScratch(t *testing.T) {
 			warm.Solve(chain[j])
 		}
 		wEnv, wOK := warm.Solve(p)
-		cold := NewSolver(5)
+		cold := NewSolver()
 		cEnv, cOK := cold.Solve(p)
 		if wOK != cOK || fmt.Sprint(wEnv) != fmt.Sprint(cEnv) {
 			t.Fatalf("case %d: incremental (%v,%v) != from-scratch (%v,%v) for %v",
@@ -147,7 +153,7 @@ func TestEngineIncrementalMatchesScratch(t *testing.T) {
 	}
 }
 
-// Property: answers are a pure function of (seed, query) — identical
+// Property: answers are a pure function of the query — identical
 // across repeated calls, interleaved unrelated queries, and solver
 // instances with different cache states.
 func TestEngineDeterministicAcrossCacheStates(t *testing.T) {
@@ -157,7 +163,7 @@ func TestEngineDeterministicAcrossCacheStates(t *testing.T) {
 	for i := range conds {
 		conds[i] = genCond(rng, vars[:1+rng.Intn(2)])
 	}
-	a, b := NewSolver(9), NewSolver(9)
+	a, b := NewSolver(), NewSolver()
 	type res struct {
 		env string
 		ok  bool
@@ -221,7 +227,7 @@ func TestEngineDomainSoundness(t *testing.T) {
 // bit-mask conflicts.
 func TestEngineDefiniteUnsat(t *testing.T) {
 	x := NewVar("x", mem.Public)
-	s := NewSolver(1)
+	s := NewSolver()
 	cases := []PathCondition{
 		PCond(
 			Constraint{E: Apply(isa.OpEq, x, CW(7)), Truthy: true},
@@ -259,7 +265,7 @@ func TestEngineDefiniteUnsat(t *testing.T) {
 // touching the probe loop.
 func TestEnginePinnedEqualitySkipsProbing(t *testing.T) {
 	x := NewVar("x", mem.Public)
-	s := NewSolver(1)
+	s := NewSolver()
 	addr := Apply(isa.OpAdd, CW(0x40), x)
 	env, ok := s.SolveWith(PathCondition{}, addr, 0x49)
 	if !ok || env["x"] != 9 {
@@ -308,7 +314,7 @@ func TestMemoryReadUnmappedAllocFree(t *testing.T) {
 // The memo cache serves repeated queries and verified models.
 func TestEngineCacheHits(t *testing.T) {
 	x := NewVar("x", mem.Public)
-	s := NewSolver(3)
+	s := NewSolver()
 	p := PCond(Constraint{E: Apply(isa.OpGt, x, CW(4)), Truthy: true})
 	e1, ok1 := s.Solve(p)
 	e2, ok2 := s.Solve(p)
@@ -321,5 +327,116 @@ func TestEngineCacheHits(t *testing.T) {
 	}
 	if st.Queries < 2 {
 		t.Fatalf("query counter did not move: %+v", st)
+	}
+}
+
+// Branch conditions from the litmus corpus's symbolic checks that
+// propagation alone cannot decide (the offset sits under a nested add,
+// a multiply, or a comparison wrapped in ne): the search must refute
+// 18 and solve the satisfiable v11_04 arm with its only model.
+func TestEngineLitmusRegressions(t *testing.T) {
+	x := NewVar("x", mem.Public)
+	add := func(a Expr, k mem.Word) Expr { return Op{Code: isa.OpAdd, Args: []Expr{a, CW(k)}} }
+	ne0 := func(e Expr) Expr { return Apply(isa.OpNe, e, CW(0)) }
+	lt4 := func(e Expr) Expr { return ne0(Apply(isa.OpLt, e, CW(4))) }
+	eq := func(e Expr, k mem.Word) Constraint { return Constraint{E: Apply(isa.OpEq, e, CW(k)), Truthy: true} }
+	holds := func(e Expr) Constraint { return Constraint{E: e, Truthy: true} }
+	fails := func(e Expr) Constraint { return Constraint{E: e, Truthy: false} }
+
+	unsat := []PathCondition{
+		PCond(fails(lt4(x)), holds(lt4(x))),
+		PCond(fails(ne0(Apply(isa.OpGt, x, CW(0)))), fails(lt4(x))),
+	}
+	want := []string{
+		"ne(lt(x, 4pub), 0pub) = 0 ∧ ne(lt(x, 4pub), 0pub) ≠ 0",
+		"ne(gt(x, 0pub), 0pub) = 0 ∧ ne(lt(x, 4pub), 0pub) = 0",
+	}
+	for k := mem.Word(4101); k <= 4108; k++ {
+		unsat = append(unsat,
+			PCond(holds(lt4(add(x, 1))), eq(add(add(x, 1), 4097), k)),
+			PCond(holds(lt4(Apply(isa.OpMul, x, CW(2)))), eq(add(Apply(isa.OpMul, x, CW(2)), 4097), k)))
+		want = append(want,
+			fmt.Sprintf("ne(lt(add(x, 1pub), 4pub), 0pub) ≠ 0 ∧ eq(add(add(x, 1pub), 4097pub), %dpub) ≠ 0", k),
+			fmt.Sprintf("ne(lt(mul(x, 2pub), 4pub), 0pub) ≠ 0 ∧ eq(add(mul(x, 2pub), 4097pub), %dpub) ≠ 0", k))
+	}
+	for i, p := range unsat {
+		var parts []string
+		for _, c := range p.conjuncts() {
+			parts = append(parts, c.String())
+		}
+		if got := strings.Join(parts, " ∧ "); got != want[i] {
+			t.Fatalf("case %d renders as %s; want %s", i, got, want[i])
+		}
+		s := NewSolver()
+		if e := s.query(p); !e.unsat || e.ok {
+			t.Errorf("case %d: %v not refuted (ok=%v)", i, p.conjuncts(), e.ok)
+		}
+		if st := s.Stats(); st.Unknowns != 0 {
+			t.Errorf("case %d: %d unknowns", i, st.Unknowns)
+		}
+	}
+
+	s := NewSolver()
+	p := PCond(eq(add(Apply(isa.OpSub, x, CW(5)), 4105), 36861))
+	if got := p.conjuncts()[0].String(); got != "eq(add(sub(x, 5pub), 4105pub), 36861pub) ≠ 0" {
+		t.Fatalf("condition renders as %s", got)
+	}
+	env, ok := s.Solve(p)
+	if !ok || env["x"] != 32761 {
+		t.Fatalf("Solve = %v, %v; want x=32761", env, ok)
+	}
+	if st := s.Stats(); st.Unknowns != 0 {
+		t.Fatalf("%d unknowns", st.Unknowns)
+	}
+}
+
+// A nonlinear condition past the search budget is neither a model nor
+// a refutation: it counts exactly one unknown, also when asked again.
+func TestEngineBudgetExhaustionIsUnknown(t *testing.T) {
+	x := NewVar("x", mem.Public)
+	r := mem.Word(1<<20 + 7)
+	p := PCond(Constraint{E: Apply(isa.OpEq, Apply(isa.OpMul, x, x), CW(r*r)), Truthy: true})
+	s := NewSolver()
+	for i := 0; i < 2; i++ {
+		if s.Feasible(p) {
+			t.Fatal("the search was expected to exhaust its budget")
+		}
+	}
+	if e := s.query(p); e.unsat {
+		t.Fatal("budget exhaustion reported as a refutation")
+	}
+	if st := s.Stats(); st.Unknowns != 1 || st.ProbeIters != searchBudget {
+		t.Fatalf("stats %+v; want 1 unknown after %d nodes", st, searchBudget)
+	}
+}
+
+// A cache entry is served only for its own chain: an entry stored
+// under another condition's fingerprint (a collision) is ignored, and
+// the query is solved fresh.
+func TestEngineCacheVerifiesIdentity(t *testing.T) {
+	x := NewVar("x", mem.Public)
+	p1 := PCond(
+		Constraint{E: Apply(isa.OpEq, x, CW(7)), Truthy: true},
+		Constraint{E: Apply(isa.OpEq, x, CW(8)), Truthy: true},
+	)
+	p2 := PCond(Constraint{E: Apply(isa.OpEq, x, CW(3)), Truthy: true})
+	s := NewSolver()
+	e1 := s.query(p1)
+	if !e1.unsat {
+		t.Fatal("p1 must be refuted")
+	}
+	s.cache.put(p2.n.fp, e1)
+	hits := s.Stats().CacheHits
+	env, ok := s.Solve(p2)
+	if !ok || env["x"] != 3 {
+		t.Fatalf("Solve(p2) = %v, %v; the colliding entry for p1 was served", env, ok)
+	}
+	if s.Stats().CacheHits != hits {
+		t.Fatal("the colliding entry counted as a cache hit")
+	}
+	// A structurally equal chain built separately is a genuine hit.
+	p3 := PCond(Constraint{E: Apply(isa.OpEq, x, CW(3)), Truthy: true})
+	if env, ok := s.Solve(p3); !ok || env["x"] != 3 || s.Stats().CacheHits != hits+1 {
+		t.Fatalf("equal chain not served from the cache: %v, %v, %+v", env, ok, s.Stats())
 	}
 }

@@ -11,8 +11,7 @@
 // operations instead of keeping them symbolic"). All three are
 // reproduced here.
 //
-// The solver (engine.go) layers sound reasoning in front of the
-// original bounded heuristic search, exploiting the structure the
+// The solver (solver.go, engine.go) exploits the structure the
 // explorer gives it — path conditions grow by one conjunct per branch
 // along a parent-pointer chain, and the same conditions recur across
 // forks and workers:
@@ -21,20 +20,24 @@
 //     transfer functions propagates constraints to a fixpoint,
 //     deciding pinned variables outright and proving many queries
 //     UNSAT with no search at all (an empty domain is a proof);
+//   - a deterministic split-and-propagate search over that domain
+//     decides the rest: it tests candidates derived from the query,
+//     splits a variable's domain when none fits, re-propagates each
+//     half, and explores the halves breadth-first, within a constant
+//     node budget;
 //   - a per-conjunct incremental evaluator re-checks only the
 //     conjuncts whose variables changed between candidate models;
-//   - results are memoized per fingerprint in a sharded model cache
-//     shared across forks and workers, and child queries extend the
-//     parent's cached model push/pop-style instead of solving from
-//     scratch.
+//   - results are memoized in a sharded model cache shared across
+//     forks and workers, served only to an identical chain, and child
+//     queries start from the parent's cached fixpoint and model.
 //
-// Every layer is filtering-only over a sound over-approximation, so
-// witnesses are bit-identical to the plain search whenever it would
-// have succeeded, and the engine stays a pure function of (seed,
-// query) — parallel runs remain deterministic. What a real SMT backend
-// would still add is completeness on dense multi-variable arithmetic
-// (e.g. nonlinear mixes of wide-range variables), where the probe
-// fallback remains bounded-best-effort; see DESIGN.md.
+// The search has no seed, so the solver is a pure function of the
+// query and parallel runs stay deterministic. It is complete up to its
+// budget: a query that exhausts it is an explicit, counted unknown,
+// and a symbolic report that pruned on one is marked truncated. What a
+// real SMT
+// backend would still add is completeness on dense nonlinear
+// arithmetic over wide-range variables, where the budget runs out.
 package symx
 
 import (
@@ -139,7 +142,7 @@ func (o Op) Label() mem.Label {
 
 // opArgBuf sizes the stack buffer Eval and Concrete use for operand
 // values: opcodes are at most ternary, so evaluation of a node never
-// allocates. (Solver probing evaluates whole constraint trees once per
+// allocates. (The solver's search evaluates whole constraint trees once per
 // candidate model — this is the symbolic hot path.)
 const opArgBuf = 4
 

@@ -1,7 +1,7 @@
 package symx
 
 import (
-	"math/rand"
+	"slices"
 	"sort"
 
 	"pitchfork/internal/mem"
@@ -39,7 +39,7 @@ type PathCondition struct{ n *pcNode }
 
 // pcNode is one conjunct; fp caches the Fingerprint fold of the chain
 // up to and including this constraint, so fingerprints stay O(1) and
-// bit-identical to the historical oldest-first slice fold. vars caches
+// equal to an oldest-first fold over the conjuncts. vars caches
 // the sorted free-variable set of the whole chain, maintained
 // incrementally by With and shared with the parent whenever the new
 // conjunct introduces no fresh variables (the common case: a branch
@@ -136,8 +136,8 @@ func (p PathCondition) Holds(env Env) bool {
 }
 
 // Fingerprint folds the conjunction to 64 bits, structurally and
-// order-sensitively — one hash serving both the solver's per-query
-// seeding and the symbolic exploration domain's configuration
+// order-sensitively — one hash serving both the solver's cache keys
+// and the symbolic exploration domain's configuration
 // fingerprints, so the two can never drift apart. The fold is cached
 // per node, making this O(1).
 func (p PathCondition) Fingerprint() uint64 {
@@ -174,58 +174,39 @@ func (p PathCondition) conjuncts() []Constraint {
 	return out
 }
 
-// Solver searches for satisfying assignments of path conditions. The
-// search runs in layers: an interval + known-bits propagation pre-pass
-// over the conjunction (seeded incrementally from the parent
-// condition's fixpoint) that settles definite UNSAT and narrows the
-// candidate space; deterministic candidates (all-zeros, a seed grid
-// for small queries, a coordinate sweep otherwise) filtered through
-// the domains; extension of the parent condition's cached model by the
-// one new conjunct; and finally bounded random probing with an
-// incremental evaluator that re-checks only the conjuncts whose
-// variables changed per candidate. Sound for SAT answers (a returned
-// model always satisfies the constraints) and for propagation UNSAT
-// (empty domains are a proof); a probe-budget miss is "unknown".
+// Solver decides path conditions. Every query runs one deterministic
+// search over an interval × known-bits abstract domain (engine.go):
+// propagation over the conjunction (seeded incrementally from the
+// parent condition's fixpoint) narrows each variable's domain and
+// settles many queries outright; then a split-and-propagate search
+// tests a fixed candidate set at each node, splits one variable's
+// domain when no candidate is a model, re-propagates each half, and
+// explores the halves breadth-first. Each query ends in one of three ways: a model (which
+// always satisfies the constraints), a refutation (every domain
+// emptied — a proof of UNSAT), or "unknown" when the search hits its
+// node budget. Unknowns are counted, so callers can report an analysis
+// that pruned on one as inconclusive.
 //
 // Results are memoized in a bounded cache keyed by the path
-// condition's fingerprint, and every layer is a pure function of
-// (solver seed, query): answers are independent of call order and
-// cache state, which is what lets one Solver be shared across the
+// condition's fingerprint and verified by identity, and the search is
+// a pure function of the query: answers are independent of call order
+// and cache state, which is what lets one Solver be shared across the
 // exploration engine's worker goroutines while keeping parallel
 // symbolic runs bit-identical to serial ones. Returned models are
 // shared with the cache — callers must not mutate them.
 type Solver struct {
-	seed int64
-	// Tries bounds random probes per query.
-	Tries int
-	// Seeds are the per-variable candidate words tried exhaustively
-	// for queries with few variables.
-	Seeds []mem.Word
-
 	cache    *modelCache
 	counters solverCounters
 }
 
-// NewSolver returns a solver with a deterministic seed.
-func NewSolver(seed int64) *Solver {
-	return &Solver{
-		seed:  seed,
-		Tries: 4096,
-		Seeds: []mem.Word{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 63, 64, 100, 127, 128, 200, 255, 256, 1 << 12, 1 << 16, ^mem.Word(0), ^mem.Word(0) - 1, 1 << 63},
-		cache: newModelCache(),
-	}
-}
-
-// rngFor derives the query-local generator for the random-probing
-// phase from the solver seed and a structural fingerprint of the
-// query (a direct tree walk — no string rendering on the hot path).
-func (s *Solver) rngFor(p PathCondition) *rand.Rand {
-	return rand.New(rand.NewSource(s.seed ^ int64(p.Fingerprint())))
+// NewSolver returns a solver with an empty cache.
+func NewSolver() *Solver {
+	return &Solver{cache: newModelCache()}
 }
 
 // Fingerprint folds an expression tree to 64 bits, structurally and
 // label-inclusive: structurally equal expressions hash equal. The
-// solver's query seeding and the symbolic domain's configuration
+// solver's cache keys and the symbolic domain's configuration
 // fingerprints (exploration dedup) both build on it.
 func Fingerprint(e Expr) uint64 {
 	switch x := e.(type) {
@@ -250,9 +231,10 @@ func Fingerprint(e Expr) uint64 {
 	return mem.Mix64(mem.HashSeed ^ 4)
 }
 
-// Solve searches for a model of p. ok=false means no model was found
-// within the budget (which may be UNSAT or just hard). The returned
-// model is shared with the solver's cache; callers must not mutate it.
+// Solve searches for a model of p. ok=false means no model was found:
+// p is unsatisfiable, or the search ran out of budget (counted in
+// SolverStats.Unknowns). The returned model is shared with the
+// solver's cache; callers must not mutate it.
 func (s *Solver) Solve(p PathCondition) (Env, bool) {
 	e := s.query(p)
 	return e.env, e.ok
@@ -270,28 +252,42 @@ func (s *Solver) Feasible(p PathCondition) bool {
 	return s.query(p).ok
 }
 
-// query answers a solve through the memo cache. Entries are verified
-// against their query before use (SAT hits must still satisfy p, in
-// case of a fingerprint collision); on a miss the chain is solved
-// recursively, parent first, so a result never depends on what happens
-// to be cached.
+// query answers a solve through the memo cache. A cached entry is used
+// only for its own chain or one conjunct-by-conjunct equal to it, so a
+// fingerprint collision can never serve another query's answer; on a
+// miss the chain is solved recursively, parent first, so a result
+// never depends on what happens to be cached.
 func (s *Solver) query(p PathCondition) *solveEntry {
 	s.counters.queries.Add(1)
 	if p.n == nil {
 		return emptyEntry
 	}
-	if e, ok := s.cache.get(p.n.fp); ok {
-		if !e.ok || p.Holds(e.env) {
-			s.counters.cacheHits.Add(1)
-			return e
-		}
+	if e, ok := s.cache.get(p.n.fp); ok && sameChain(e.node, p.n) {
+		s.counters.cacheHits.Add(1)
+		return e
 	}
 	e := s.solveFresh(p)
+	e.node = p.n
 	s.cache.put(p.n.fp, e)
 	return e
 }
 
-// solveFresh runs the layered search for a condition not in the cache.
+// sameChain reports whether two path-condition chains are equal
+// conjunct by conjunct, down to a node they share (or the root).
+func sameChain(a, b *pcNode) bool {
+	for a != b {
+		if a == nil || b == nil || a.fp != b.fp || a.depth != b.depth || a.c.Truthy != b.c.Truthy {
+			return false
+		}
+		if eq, _ := structurallyEqual(a.c.E, b.c.E); !eq {
+			return false
+		}
+		a, b = a.parent, b.parent
+	}
+	return true
+}
+
+// solveFresh decides a condition not in the cache.
 func (s *Solver) solveFresh(p PathCondition) *solveEntry {
 	vars := p.Vars()
 	par := p.parent()
@@ -310,8 +306,8 @@ func (s *Solver) solveFresh(p PathCondition) *solveEntry {
 	}
 	cons := p.conjuncts()
 
-	// Layer 1: interval/known-bits propagation, seeded from the
-	// parent's fixpoint (⊤ for fresh variables).
+	// Propagation, seeded from the parent's fixpoint (⊤ for fresh
+	// variables).
 	doms := make([]vdom, len(vars))
 	for i := range doms {
 		doms[i] = fullDom
@@ -337,211 +333,175 @@ func (s *Solver) solveFresh(p PathCondition) *solveEntry {
 			break
 		}
 	}
-
-	if len(vars) == 0 {
-		if p.Holds(Env{}) {
-			return &solveEntry{doms: doms, env: Env{}, ok: true}
-		}
-		return &solveEntry{doms: doms}
+	if len(vars) == 0 { // propagation evaluated every conjunct exactly
+		return &solveEntry{doms: doms, env: Env{}, ok: true}
 	}
-
-	// Layer 2: deterministic candidates through the incremental
-	// evaluator, filtered by the domains. The filter only skips
-	// candidates that provably cannot be models, so the first hit is
-	// the same one the historical from-scratch search found.
 	ec := newEvalCtx(vars, cons, vidx)
-	if ec.hopeless() {
-		return &solveEntry{doms: doms}
-	}
-	if ec.bad == 0 && allZeros(doms) {
-		return &solveEntry{doms: doms, env: ec.env, ok: true}
-	}
-	if len(vars) <= 2 {
-		if ok := s.grid(ec, doms); ok {
-			return &solveEntry{doms: doms, env: ec.env, ok: true}
-		}
-	} else if ok := s.coordinate(ec, doms); ok {
-		return &solveEntry{doms: doms, env: ec.env, ok: true}
-	}
 
-	// Layer 3: extend the parent's model by the one new conjunct. Only
-	// reachable when the deterministic candidates all failed — which,
-	// when the parent itself fell through to probing, they necessarily
-	// did (the child re-tries a superset of the parent's failed
-	// candidates), so this can only replace a probe-phase answer.
+	// First candidate: the parent's model, extended by the domain
+	// minimum of any variable the new conjunct introduces.
 	if pe != nil && pe.ok {
-		if env, ok := s.extend(p, pe, par, vars, doms, vidx); ok {
-			s.counters.extendHits.Add(1)
-			return &solveEntry{doms: doms, env: env, ok: true}
-		}
-	}
-
-	// Layer 4: random probing with the query-derived generator. The
-	// generator consumes draws exactly like the historical search —
-	// every variable is drawn each iteration, and domain filtering
-	// happens after the draws — so the surviving first model is
-	// bit-identical to what from-scratch probing found.
-	rng := s.rngFor(p)
-	cand := make([]mem.Word, len(vars))
-	iters := uint64(0)
-	defer func() { s.counters.probeIters.Add(iters) }()
-	for t := 0; t < s.Tries; t++ {
-		iters++
-		inDom := true
-		for i := range vars {
-			var w mem.Word
-			switch rng.Intn(3) {
-			case 0:
-				w = s.Seeds[rng.Intn(len(s.Seeds))]
-			case 1:
-				w = mem.Word(rng.Intn(512))
-			default:
-				w = mem.Word(rng.Uint64())
+		for i, v := range vars {
+			w, ok := pe.env[v]
+			if !ok {
+				w = doms[i].lo
 			}
-			cand[i] = w
-			if !doms[i].contains(w) {
-				inDom = false
-			}
-		}
-		if !inDom {
-			continue
-		}
-		for i, w := range cand {
 			ec.set(i, w)
 		}
 		if ec.bad == 0 {
+			s.counters.extendHits.Add(1)
 			return &solveEntry{doms: doms, env: ec.env, ok: true}
 		}
 	}
+
+	sr := search{ec: ec, cons: cons, vidx: vidx}
+	res := sr.run(doms)
+	s.counters.probeIters.Add(uint64(sr.nodes))
+	switch res {
+	case searchModel:
+		return &solveEntry{doms: doms, env: ec.env, ok: true}
+	case searchRefuted:
+		s.counters.definiteUnsats.Add(1)
+		return &solveEntry{doms: doms, unsat: true}
+	}
+	s.counters.unknowns.Add(1)
 	return &solveEntry{doms: doms}
 }
 
-func allZeros(doms []vdom) bool {
-	for _, d := range doms {
-		if !d.contains(0) {
-			return false
-		}
-	}
-	return true
+// searchBudget bounds the nodes one query's search expands beyond its
+// root. It is a constant, not an option: answers are a pure function
+// of the query.
+const searchBudget = 4096
+
+type searchResult int
+
+const (
+	searchModel   searchResult = iota // ec.env satisfies the conjunction
+	searchRefuted                     // every branch's domains emptied: UNSAT
+	searchUnknown                     // the node budget ran out
+)
+
+// search is one query's split-and-propagate search. The candidates at
+// a node are the domains' low corner; then, one variable at a time with
+// the others at their minimum, each word of words in its domain and its
+// domain's second-least, second-greatest and greatest members; then
+// the high corner. All are derived from the query, so the search needs
+// no seed.
+type search struct {
+	ec    *evalCtx
+	cons  []Constraint
+	vidx  map[string]int
+	words []mem.Word // conjunctWords(cons), built once the low corner fails
+	nodes int
 }
 
-// candList filters the seed words through a domain, appending a forced
-// singleton (a propagation-solved equality) if the seeds miss it.
-func (s *Solver) candList(d vdom, dst []mem.Word) []mem.Word {
-	for _, w := range s.Seeds {
-		if d.contains(w) {
-			dst = append(dst, w)
+// run searches breadth-first from the box root, whose bounds
+// propagation has reconciled (so each domain's lo and hi are members).
+// Splits alternate by depth between halving a variable's interval and
+// fixing its lowest unknown bit, and rotate over the variables every
+// two levels.
+func (sr *search) run(root []vdom) searchResult {
+	type box struct {
+		doms  []vdom
+		depth int
+	}
+	queue := []box{{root, 0}}
+	for len(queue) > 0 {
+		b := queue[0]
+		queue = queue[1:]
+		doms, n := b.doms, len(b.doms)
+		if sr.try(doms) {
+			return searchModel
+		}
+		split := -1
+		for k := 0; k < n; k++ {
+			if i := (b.depth/2 + k) % n; doms[i].lo != doms[i].hi {
+				split = i
+				break
+			}
+		}
+		if split < 0 {
+			continue // a single point, and try rejected it
+		}
+		d := doms[split]
+		var halves [2]vdom
+		if b.depth%2 == 0 {
+			mid := d.lo + (d.hi-d.lo)/2
+			halves = [2]vdom{d.meetInterval(d.lo, mid), d.meetInterval(mid+1, d.hi)}
+		} else {
+			bit := ^d.known & -^d.known // lowest unknown bit
+			halves = [2]vdom{d.meetBits(bit, 0), d.meetBits(bit, bit)}
+		}
+		for _, h := range halves {
+			if sr.nodes == searchBudget {
+				return searchUnknown
+			}
+			sr.nodes++
+			child := append([]vdom(nil), doms...)
+			child[split] = h
+			if !h.empty() && propagate(sr.cons, sr.vidx, child, false) {
+				queue = append(queue, box{child, b.depth + 1})
+			}
 		}
 	}
-	if w, ok := d.singleton(); ok && (len(dst) == 0 || dst[len(dst)-1] != w) {
-		dst = append(dst, w)
-	}
-	return dst
+	return searchRefuted
 }
 
-// grid exhaustively tries seed-word combinations for 1–2 variable
-// queries, in the historical enumeration order.
-func (s *Solver) grid(ec *evalCtx, doms []vdom) bool {
-	var b0, b1 [40]mem.Word
-	c0 := s.candList(doms[0], b0[:0])
-	if len(ec.vars) == 1 {
-		for _, w := range c0 {
-			ec.set(0, w)
-			if ec.bad == 0 {
-				return true
+// try tests the node's candidates, leaving a model in sr.ec.env.
+func (sr *search) try(doms []vdom) bool {
+	ec := sr.ec
+	for i := range doms {
+		ec.set(i, doms[i].lo)
+	}
+	if ec.bad == 0 {
+		return true
+	}
+	if sr.words == nil {
+		sr.words = conjunctWords(sr.cons)
+	}
+	for i, d := range doms {
+		for _, w := range sr.words {
+			if d.contains(w) {
+				if ec.set(i, w); ec.bad == 0 {
+					return true
+				}
 			}
 		}
-		return false
-	}
-	c1 := s.candList(doms[1], b1[:0])
-	for _, w0 := range c0 {
-		ec.set(0, w0)
-		for _, w1 := range c1 {
-			ec.set(1, w1)
-			if ec.bad == 0 {
-				return true
+		if d.lo != d.hi {
+			next, _ := leastAtLeast(d.lo+1, d.known, d.bit)
+			prev, _ := greatestAtMost(d.hi-1, d.known, d.bit)
+			for _, w := range [3]mem.Word{next, prev, d.hi} {
+				if ec.set(i, w); ec.bad == 0 {
+					return true
+				}
 			}
 		}
+		ec.set(i, d.lo)
 	}
-	return false
+	for i := range doms {
+		ec.set(i, doms[i].hi)
+	}
+	return ec.bad == 0
 }
 
-// coordinate sweeps each variable over the seed words with the others
-// pinned at zero, in the historical order.
-func (s *Solver) coordinate(ec *evalCtx, doms []vdom) bool {
-	nonzero := 0 // variables whose domain excludes 0
-	for _, d := range doms {
-		if !d.contains(0) {
-			nonzero++
-		}
-	}
-	for i := range ec.vars {
-		rest := nonzero
-		if !doms[i].contains(0) {
-			rest--
-		}
-		if rest > 0 {
-			continue // some other variable can't sit at zero
-		}
-		for _, w := range s.Seeds {
-			if !doms[i].contains(w) {
-				continue
-			}
-			ec.set(i, w)
-			if ec.bad == 0 {
-				return true
-			}
-		}
-		ec.set(i, 0)
-	}
-	return false
-}
-
-// extend tries to reuse the parent condition's model: when the new
-// conjunct adds no variables, the parent model either satisfies it or
-// doesn't; when it adds one or two, they are gridded over the seed
-// words against the new conjunct alone (older conjuncts cannot
-// mention them).
-func (s *Solver) extend(p PathCondition, pe *solveEntry, par PathCondition, vars []string, doms []vdom, vidx map[string]int) (Env, bool) {
-	c := p.n.c
-	pvars := par.Vars()
-	if len(vars) == len(pvars) {
-		if c.Holds(pe.env) {
-			return pe.env, true
-		}
-		return nil, false
-	}
-	fresh := missingVars(c.E, pvars, nil)
-	if len(fresh) > 2 {
-		return nil, false
-	}
-	env := make(Env, len(vars))
-	for k, w := range pe.env {
-		env[k] = w
-	}
-	for _, v := range fresh {
-		env[v] = 0
-	}
-	var b0, b1 [40]mem.Word
-	c0 := s.candList(doms[vidx[fresh[0]]], b0[:0])
-	if len(fresh) == 1 {
-		for _, w := range c0 {
-			env[fresh[0]] = w
-			if c.Holds(env) {
-				return env, true
-			}
-		}
-		return nil, false
-	}
-	c1 := s.candList(doms[vidx[fresh[1]]], b1[:0])
-	for _, w0 := range c0 {
-		env[fresh[0]] = w0
-		for _, w1 := range c1 {
-			env[fresh[1]] = w1
-			if c.Holds(env) {
-				return env, true
+// conjunctWords collects the constants of the conjuncts and their
+// neighbours ±1, ascending and deduplicated.
+func conjunctWords(cons []Constraint) []mem.Word {
+	var out []mem.Word
+	var walk func(e Expr)
+	walk = func(e Expr) {
+		switch x := e.(type) {
+		case Const:
+			out = append(out, x.V.W-1, x.V.W, x.V.W+1)
+		case Op:
+			for _, a := range x.Args {
+				walk(a)
 			}
 		}
 	}
-	return nil, false
+	for _, c := range cons {
+		walk(c.E)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }

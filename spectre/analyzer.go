@@ -189,7 +189,6 @@ func (a *Analyzer) runWith(ctx context.Context, p *Program, bound int, fwd bool,
 		StopAtFirst:    a.cfg.StopAtFirst,
 		Workers:        workers,
 		DedupEntries:   a.cfg.DedupEntries,
-		SolverSeed:     a.cfg.SolverSeed,
 		Interrupt:      func() bool { return ctx.Err() != nil },
 		Prune:          pruneHints(static),
 	}

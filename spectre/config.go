@@ -14,7 +14,7 @@ import (
 // request body, and CacheKey canonicalizes it into the verdict-cache
 // key — and so a configuration is never ambiguous: after New resolves
 // its options, every field holds its effective value (defaults
-// included), and New() and New(WithSolverSeed(0)) produce identical
+// included), and New() and New(WithWorkers(1)) produce identical
 // Configs, hence identical cache keys.
 //
 // The functional options (WithBound, WithWorkers, …) are a thin layer
@@ -39,8 +39,6 @@ type Config struct {
 	StopAtFirst bool `json:"stopAtFirst"`
 	// Symbolic switches to symbolic mode (see WithSymbolic).
 	Symbolic bool `json:"symbolic"`
-	// SolverSeed seeds the symbolic solver's randomized model search.
-	SolverSeed int64 `json:"solverSeed"`
 	// Workers is the number of exploration goroutines; 0 resolves to
 	// runtime.NumCPU() at construction (the resolved value is what
 	// Analyzer.Config reports and what CacheKey hashes).
@@ -126,9 +124,9 @@ func (c Config) validate() error {
 func (c Config) CacheKey() string {
 	c.normalize()
 	canonical := fmt.Sprintf(
-		"spectre-config-v1|bound=%d|fwd=%t|maxStates=%d|maxRetired=%d|stopAtFirst=%t|symbolic=%t|solverSeed=%d|workers=%d|dedup=%d|static=%t|strategy=%s",
+		"spectre-config-v2|bound=%d|fwd=%t|maxStates=%d|maxRetired=%d|stopAtFirst=%t|symbolic=%t|workers=%d|dedup=%d|static=%t|strategy=%s",
 		c.Bound, c.ForwardHazards, c.MaxStates, c.MaxRetired, c.StopAtFirst,
-		c.Symbolic, c.SolverSeed, c.Workers, c.DedupEntries, c.StaticPass,
+		c.Symbolic, c.Workers, c.DedupEntries, c.StaticPass,
 		c.RepairStrategy)
 	sum := sha256.Sum256([]byte(canonical))
 	return hex.EncodeToString(sum[:])

@@ -11,9 +11,9 @@
 //
 //   - An Analyzer, constructed with functional options (WithBound,
 //     WithForwardHazards, WithMaxStates, WithMaxRetired,
-//     WithStopAtFirst, WithSymbolic, WithSolverSeed, WithWorkers,
-//     WithDedup), that runs the paper's worst-case-schedule
-//     exploration in concrete or symbolic mode. Both modes run on one
+//     WithStopAtFirst, WithSymbolic, WithWorkers, WithDedup), that
+//     runs the paper's worst-case-schedule exploration in concrete or
+//     symbolic mode. Both modes run on one
 //     domain-parameterized speculation engine, so every option
 //     composes with every mode: WithWorkers spreads one exploration —
 //     concrete or symbolic — over a work-stealing pool (reports stay
@@ -76,16 +76,18 @@
 // Config, and the Program wire form are a stable schema, pinned by
 // golden fixtures under testdata/. The compatibility policy:
 //
-//   - ReportSchemaVersion names the current schema revision ("1").
+//   - ReportSchemaVersion names the current schema revision ("2").
 //     Within a revision, changes are strictly additive and new fields
 //     are omitempty, so existing encodings remain byte-identical and
 //     old readers ignore what they don't know. Renaming, removing, or
-//     re-typing a field requires a new revision.
+//     re-typing a field requires a new revision. Revision "2" removed
+//     Config's solverSeed (the solver no longer has a seed) and added
+//     the solver's unknowns count.
 //
-//   - A Report with an empty SchemaVersion is revision "1": the field
-//     was introduced omitempty precisely so library-produced encodings
-//     did not change. The serving layer (cmd/spectred) stamps it
-//     explicitly on every response; library callers may ignore it.
+//   - A Report with an empty SchemaVersion is in the revision of the
+//     library that produced it: the library leaves the field empty,
+//     and the serving layer (cmd/spectred) stamps it explicitly on
+//     every response and rejects requests that name another revision.
 //
 //   - Program.Fingerprint and Config.CacheKey are stability-pinned to
 //     fixed digests over a fixed corpus (stability_test.go), because

@@ -97,26 +97,15 @@ func WithSymbolic(on bool) Option {
 	}
 }
 
-// WithSolverSeed seeds the symbolic solver's randomized model search,
-// making witness assignments reproducible (symbolic mode only). The
-// default seed is 0 — an explicit WithSolverSeed(0) and no option at
-// all are the same configuration, with the same Config.CacheKey.
-func WithSolverSeed(seed int64) Option {
-	return func(c *Config) error {
-		c.SolverSeed = seed
-		return nil
-	}
-}
-
 // WithWorkers sets the number of exploration goroutines. 1 (the
 // default) runs the classic serial depth-first exploration; n > 1 runs
 // a work-stealing pool over the schedule tree, with findings reported
 // in deterministic schedule order rather than discovery order; 0
 // selects runtime.NumCPU(). The setting applies to concrete and
 // symbolic mode alike — both run on the same domain-parameterized
-// engine, and symbolic solver queries are self-seeding, so parallel
-// symbolic findings (witness models included) reproduce the serial
-// run's exactly. Full parallel explorations are fully deterministic;
+// engine, and the symbolic solver answers each query as a function of
+// the query alone, so parallel symbolic findings (witness models
+// included) reproduce the serial run's exactly. Full parallel explorations are fully deterministic;
 // runs cut short early (WithStopAtFirst, cancellation, a stopping
 // Stream callback, or a MaxStates truncation) depend on how far
 // workers got before the stop propagated, so their state/path counts

@@ -289,7 +289,6 @@ func (a *Analyzer) repairVerifier(ctx context.Context, p *Program, workers int) 
 			MaxRetired:     a.cfg.MaxRetired,
 			Workers:        workers,
 			DedupEntries:   a.cfg.DedupEntries,
-			SolverSeed:     a.cfg.SolverSeed,
 			Interrupt:      func() bool { return ctx.Err() != nil },
 		}
 		if a.cfg.StaticPass {

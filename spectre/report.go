@@ -168,12 +168,14 @@ type StaticReport struct {
 // SolverStats is the symbolic constraint engine's per-analysis
 // counters in the stable wire schema: constraint queries answered,
 // answers served from the fingerprint-keyed model cache, queries
-// settled UNSAT by interval/known-bits propagation alone, queries
-// whose probe space propagation narrowed, models obtained by
-// extending the parent path condition's model, and total random-probe
-// iterations spent. Present only on symbolic reports. The counters
-// are diagnostics: under parallel runs the cache-hit/fresh-solve
-// split depends on worker interleaving (findings never do).
+// refuted (by interval/known-bits propagation or by the solver's
+// search), queries whose domains propagation narrowed, models obtained
+// by extending the parent path condition's model, search nodes
+// expanded beyond each query's root, and queries the search gave up on
+// within its node budget. Present only on symbolic reports. Any
+// unknown marks the report Truncated. The counters are diagnostics:
+// under parallel runs the cache-hit/fresh-solve split depends on
+// worker interleaving (findings never do).
 type SolverStats struct {
 	Queries        uint64 `json:"queries"`
 	CacheHits      uint64 `json:"cacheHits"`
@@ -181,14 +183,14 @@ type SolverStats struct {
 	PropPruned     uint64 `json:"propPruned"`
 	ExtendHits     uint64 `json:"extendHits"`
 	ProbeIters     uint64 `json:"probeIters"`
+	Unknowns       uint64 `json:"unknowns"`
 }
 
 // ReportSchemaVersion is the current revision of the wire schema.
 // Report.SchemaVersion carries it on versioned wire traffic; an empty
-// SchemaVersion means "1" (the schema has been backward-compatible
-// since its introduction). See the compatibility policy in the package
-// documentation.
-const ReportSchemaVersion = "1"
+// SchemaVersion means the revision of the library that produced the
+// report. See the compatibility policy in the package documentation.
+const ReportSchemaVersion = "2"
 
 // Report aggregates one analysis run in the stable wire schema.
 type Report struct {
@@ -213,7 +215,9 @@ type Report struct {
 	// number of completed exploration paths.
 	States int `json:"states"`
 	Paths  int `json:"paths"`
-	// Truncated reports whether the MaxStates budget was exhausted.
+	// Truncated reports an inconclusive run: the MaxStates budget was
+	// exhausted, or (symbolic mode) a solver query ended unknown, so a
+	// branch arm or concretization target may have gone unexplored.
 	Truncated bool `json:"truncated"`
 	// Interrupted reports whether the run was cut short — by context
 	// cancellation or by a Stream callback returning false.
@@ -368,6 +372,7 @@ func reportOf(rep pitchfork.Report, bound int, fwd bool) *Report {
 			PropPruned:     rep.Solver.PropPruned,
 			ExtendHits:     rep.Solver.ExtendHits,
 			ProbeIters:     rep.Solver.ProbeIters,
+			Unknowns:       rep.Solver.Unknowns,
 		}
 	}
 	for _, v := range rep.Violations {

@@ -202,7 +202,6 @@ func TestSymbolicModeWithWitness(t *testing.T) {
 	an := mustNew(t,
 		spectre.WithBound(20),
 		spectre.WithSymbolic(true),
-		spectre.WithSolverSeed(42),
 		spectre.WithStopAtFirst(true),
 	)
 	rep := mustRun(t, an, prog)
@@ -387,7 +386,6 @@ fn main() {
 	}
 	sym := mustRun(t, mustNew(t,
 		spectre.WithSymbolic(true),
-		spectre.WithSolverSeed(7),
 		spectre.WithStopAtFirst(true)), prog)
 	if sym.SecretFree {
 		t.Fatal("symbolic analysis must flag the victim")
