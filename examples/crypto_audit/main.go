@@ -17,7 +17,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("Table 2 — ✓: violation found; f: found only with forwarding-hazard detection; –: clean")
+	fmt.Println("Table 2 — ✓: violation found; f: found only with forwarding-hazard detection; –: clean; ?: inconclusive (state budget exhausted)")
 	fmt.Println()
 	fmt.Print(spectre.RenderTable2(rows))
 }

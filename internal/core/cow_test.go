@@ -11,7 +11,7 @@ import (
 // through every mutating operation on both sides of a fork and checks
 // the sibling never observes the change.
 func TestBufferCloneIndependence(t *testing.T) {
-	b := NewBuffer()
+	b := NewBuffer[Transient]()
 	b.Append(&Transient{Kind: TStore, Src: isa.R(1), Args: []isa.Operand{isa.ImmW(0x40)}})
 	b.Append(&Transient{Kind: TLoad, Dst: 2, Args: []isa.Operand{isa.ImmW(0x41)}})
 	b.Append(&Transient{Kind: TFence})
@@ -58,7 +58,7 @@ func TestBufferCloneIndependence(t *testing.T) {
 // PopMin: entries retained from before a clone stay copy-on-write even
 // as the window slides.
 func TestBufferEditOwnsAfterPop(t *testing.T) {
-	b := NewBuffer()
+	b := NewBuffer[Transient]()
 	for i := 0; i < 4; i++ {
 		b.AppendT(Transient{Kind: TStore, Src: isa.R(isa.Reg(i)), Args: []isa.Operand{isa.ImmW(mem.Word(i))}})
 	}

@@ -44,7 +44,7 @@ func (m *Machine) Fingerprint() uint64 {
 	f.word(m.Regs.HashSum())
 	f.word(m.Mem.HashSum())
 	f.word(uint64(m.Buf.Min()))
-	for _, i := range m.Buf.Indices() {
+	for i := m.Buf.Min(); i <= m.Buf.Max(); i++ {
 		t, _ := m.Buf.Get(i)
 		t.hashInto(&f)
 	}

@@ -55,16 +55,16 @@ type Machine struct {
 	AddrMode  isa.AddrMode
 	RSBPolicy RSBPolicy
 
-	Regs *mem.RegisterFile // ρ
-	Mem  *mem.Memory       // µ (data half)
-	PC   isa.Addr          // n
-	Buf  *Buffer           // buf
-	RSB  *RSB              // σ
+	Regs *mem.RegisterFile              // ρ
+	Mem  *mem.Memory                    // µ (data half)
+	PC   isa.Addr                       // n
+	Buf  *Buffer[Transient, *Transient] // buf
+	RSB  *RSB                           // σ
 
 	Retired int // N: retired-instruction count (retire directives)
 
 	// opScratch backs per-step operand resolution (see
-	// Buffer.ResolveOperandsInto) and obsScratch the per-step
+	// ResolveOperandsInto) and obsScratch the per-step
 	// observation lists Step returns; neither is part of the
 	// configuration.
 	opScratch  [4]mem.Value
@@ -122,7 +122,7 @@ func New(prog *isa.Program, opts ...Option) *Machine {
 		Regs: mem.NewRegisterFile(),
 		Mem:  prog.InitialMemory(),
 		PC:   prog.Entry,
-		Buf:  NewBuffer(),
+		Buf:  NewBuffer[Transient](),
 		RSB:  NewRSB(RSBAttackerChoice),
 	}
 	for _, o := range opts {
@@ -184,7 +184,7 @@ func (m *Machine) Equal(o *Machine) bool {
 	if m.Buf.Len() != o.Buf.Len() {
 		return false
 	}
-	for _, i := range m.Buf.Indices() {
+	for i := m.Buf.Min(); i <= m.Buf.Max(); i++ {
 		a, _ := m.Buf.Get(i)
 		b, ok := o.Buf.Get(i)
 		if !ok || a.String() != b.String() {
@@ -192,6 +192,74 @@ func (m *Machine) Equal(o *Machine) bool {
 		}
 	}
 	return true
+}
+
+// ResolveReg implements the register resolve function (buf +i ρ)(r) of
+// Fig. 3, extended per §3.5 to read through partially resolved loads:
+//
+//   - the latest assignment to r at an index j < i that is resolved
+//     yields its value;
+//   - a latest assignment that is unresolved yields ⊥ (ok == false);
+//   - no assignment at all defers to ρ(r).
+func (m *Machine) ResolveReg(i int, r isa.Reg) (mem.Value, bool) {
+	b := m.Buf
+	hi := b.Max()
+	if i-1 < hi {
+		hi = i - 1
+	}
+	for j := hi; j >= b.Min() && j >= 1; j-- {
+		t, ok := b.Get(j)
+		if !ok || !t.AssignsReg(r) {
+			continue
+		}
+		switch t.Kind {
+		case TValue:
+			return t.Val, true
+		case TLoad:
+			if t.PredFwd {
+				return t.PredVal, true // §3.5 extension
+			}
+			return mem.Value{}, false // pending assignment: ⊥
+		case TOp:
+			return mem.Value{}, false // pending assignment: ⊥
+		}
+	}
+	return m.Regs.Read(r), true
+}
+
+// ResolveOperand lifts ResolveReg to a register-or-value operand:
+// (buf +i ρ)(vℓ) = vℓ for immediates.
+func (m *Machine) ResolveOperand(i int, o isa.Operand) (mem.Value, bool) {
+	if !o.IsReg {
+		return o.Imm, true
+	}
+	return m.ResolveReg(i, o.Reg)
+}
+
+// ResolveOperands is the pointwise lifting to operand lists; it fails
+// if any operand is ⊥.
+func (m *Machine) ResolveOperands(i int, os []isa.Operand) ([]mem.Value, bool) {
+	return m.ResolveOperandsInto(nil, i, os)
+}
+
+// ResolveOperandsInto is ResolveOperands with a caller-supplied
+// destination, reused when its capacity suffices; the step rules pass
+// a per-machine scratch so per-step operand resolution allocates
+// nothing. The result aliases dst and is only valid until its next
+// reuse.
+func (m *Machine) ResolveOperandsInto(dst []mem.Value, i int, os []isa.Operand) ([]mem.Value, bool) {
+	if cap(dst) < len(os) {
+		dst = make([]mem.Value, len(os))
+	}
+	dst = dst[:len(os)]
+	for k, o := range os {
+		v, ok := m.ResolveOperand(i, o)
+		if !ok {
+			return nil, false
+		}
+		dst[k] = v
+	}
+	return dst, true
 }
 
 // Step executes one small step C ↪→ᵈ C′, returning the observations o
@@ -381,7 +449,7 @@ func (m *Machine) stepExecute(d Directive) ([]Observation, error) {
 }
 
 func (m *Machine) execOp(d Directive, t *Transient) ([]Observation, error) {
-	vals, ok := m.Buf.ResolveOperandsInto(m.opScratch[:0], d.I, m.Regs, t.Args)
+	vals, ok := m.ResolveOperandsInto(m.opScratch[:0], d.I, t.Args)
 	if !ok {
 		return nil, stall(d, "operands of %s unresolved", t)
 	}
@@ -394,7 +462,7 @@ func (m *Machine) execOp(d Directive, t *Transient) ([]Observation, error) {
 }
 
 func (m *Machine) execBranch(d Directive, t *Transient) ([]Observation, error) {
-	vals, ok := m.Buf.ResolveOperandsInto(m.opScratch[:0], d.I, m.Regs, t.Args)
+	vals, ok := m.ResolveOperandsInto(m.opScratch[:0], d.I, t.Args)
 	if !ok {
 		return nil, stall(d, "branch condition unresolved")
 	}
@@ -421,7 +489,7 @@ func (m *Machine) execBranch(d Directive, t *Transient) ([]Observation, error) {
 }
 
 func (m *Machine) execJmpi(d Directive, t *Transient) ([]Observation, error) {
-	vals, ok := m.Buf.ResolveOperandsInto(m.opScratch[:0], d.I, m.Regs, t.Args)
+	vals, ok := m.ResolveOperandsInto(m.opScratch[:0], d.I, t.Args)
 	if !ok {
 		return nil, stall(d, "jump target operands unresolved")
 	}
@@ -443,7 +511,7 @@ func (m *Machine) execJmpi(d Directive, t *Transient) ([]Observation, error) {
 }
 
 func (m *Machine) execLoad(d Directive, t *Transient) ([]Observation, error) {
-	vals, ok := m.Buf.ResolveOperandsInto(m.opScratch[:0], d.I, m.Regs, t.Args)
+	vals, ok := m.ResolveOperandsInto(m.opScratch[:0], d.I, t.Args)
 	if !ok {
 		return nil, stall(d, "load address operands unresolved")
 	}
@@ -486,7 +554,7 @@ func (m *Machine) execLoad(d Directive, t *Transient) ([]Observation, error) {
 // execPredictedLoad resolves a partially resolved load
 // (r = load(r⃗v, (vℓ, j)))n — the §3.5 aliasing-prediction extension.
 func (m *Machine) execPredictedLoad(d Directive, t *Transient) ([]Observation, error) {
-	vals, ok := m.Buf.ResolveOperandsInto(m.opScratch[:0], d.I, m.Regs, t.Args)
+	vals, ok := m.ResolveOperandsInto(m.opScratch[:0], d.I, t.Args)
 	if !ok {
 		return nil, stall(d, "load address operands unresolved")
 	}
@@ -557,7 +625,7 @@ func (m *Machine) stepExecuteValue(d Directive) ([]Observation, error) {
 	if t.ValKnown {
 		return nil, stall(d, "store value already resolved")
 	}
-	v, ok := m.Buf.ResolveOperand(d.I, m.Regs, t.Src)
+	v, ok := m.ResolveOperand(d.I, t.Src)
 	if !ok {
 		return nil, stall(d, "store data operand unresolved")
 	}
@@ -579,7 +647,7 @@ func (m *Machine) stepExecuteAddr(d Directive) ([]Observation, error) {
 	if t.AddrKnown {
 		return nil, stall(d, "store address already resolved")
 	}
-	vals, ok := m.Buf.ResolveOperandsInto(m.opScratch[:0], d.I, m.Regs, t.Args)
+	vals, ok := m.ResolveOperandsInto(m.opScratch[:0], d.I, t.Args)
 	if !ok {
 		return nil, stall(d, "store address operands unresolved")
 	}

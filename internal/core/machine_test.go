@@ -10,7 +10,7 @@ import (
 )
 
 func TestBufferContiguity(t *testing.T) {
-	b := NewBuffer()
+	b := NewBuffer[Transient]()
 	if b.Min() != 1 || b.Max() != 0 {
 		t.Fatalf("initial Min/Max = %d/%d, want 1/0", b.Min(), b.Max())
 	}
@@ -45,7 +45,7 @@ func TestBufferContiguity(t *testing.T) {
 }
 
 func TestBufferSetPanicsOutsideDomain(t *testing.T) {
-	b := NewBuffer()
+	b := NewBuffer[Transient]()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Set outside domain must panic")
@@ -55,7 +55,7 @@ func TestBufferSetPanicsOutsideDomain(t *testing.T) {
 }
 
 func TestBufferPopMinNPanicsBeyond(t *testing.T) {
-	b := NewBuffer()
+	b := NewBuffer[Transient]()
 	b.Append(&Transient{Kind: TFence})
 	defer func() {
 		if recover() == nil {
@@ -66,7 +66,7 @@ func TestBufferPopMinNPanicsBeyond(t *testing.T) {
 }
 
 func TestBufferString(t *testing.T) {
-	b := NewBuffer()
+	b := NewBuffer[Transient]()
 	if b.String() != "∅" {
 		t.Fatalf("empty buffer = %q", b.String())
 	}
@@ -77,54 +77,53 @@ func TestBufferString(t *testing.T) {
 }
 
 func TestRegisterResolveLatestWins(t *testing.T) {
-	b := NewBuffer()
-	regs := mem.NewRegisterFile()
-	regs.Write(ra, mem.Pub(1))
+	m := &Machine{Buf: NewBuffer[Transient](), Regs: mem.NewRegisterFile()}
+	b := m.Buf
+	m.Regs.Write(ra, mem.Pub(1))
 	b.Append(&Transient{Kind: TValue, Dst: ra, Val: mem.Pub(2)})                              // 1
 	b.Append(&Transient{Kind: TValue, Dst: ra, Val: mem.Pub(3)})                              // 2
 	b.Append(&Transient{Kind: TOp, Dst: ra, Op: isa.OpMov, Args: []isa.Operand{isa.ImmW(4)}}) // 3
 
 	// Below the first assignment: the register file's value.
-	if v, ok := b.ResolveReg(1, regs, ra); !ok || v != mem.Pub(1) {
+	if v, ok := m.ResolveReg(1, ra); !ok || v != mem.Pub(1) {
 		t.Fatalf("(buf +1 ρ)(ra) = %v, %t", v, ok)
 	}
 	// Between the two resolved assignments: the earlier one.
-	if v, ok := b.ResolveReg(2, regs, ra); !ok || v != mem.Pub(2) {
+	if v, ok := m.ResolveReg(2, ra); !ok || v != mem.Pub(2) {
 		t.Fatalf("(buf +2 ρ)(ra) = %v, %t", v, ok)
 	}
-	if v, ok := b.ResolveReg(3, regs, ra); !ok || v != mem.Pub(3) {
+	if v, ok := m.ResolveReg(3, ra); !ok || v != mem.Pub(3) {
 		t.Fatalf("(buf +3 ρ)(ra) = %v, %t", v, ok)
 	}
 	// Above the unresolved op: ⊥.
-	if _, ok := b.ResolveReg(4, regs, ra); ok {
+	if _, ok := m.ResolveReg(4, ra); ok {
 		t.Fatal("latest assignment unresolved ⇒ ⊥")
 	}
 	// Unrelated register: falls through to ρ.
-	if v, ok := b.ResolveReg(4, regs, rb); !ok || v != mem.Pub(0) {
+	if v, ok := m.ResolveReg(4, rb); !ok || v != mem.Pub(0) {
 		t.Fatalf("(buf +4 ρ)(rb) = %v, %t", v, ok)
 	}
 }
 
 func TestRegisterResolveThroughPredictedLoad(t *testing.T) {
-	b := NewBuffer()
-	regs := mem.NewRegisterFile()
+	m := &Machine{Buf: NewBuffer[Transient](), Regs: mem.NewRegisterFile()}
+	b := m.Buf
 	b.Append(&Transient{Kind: TLoad, Dst: ra, Args: []isa.Operand{isa.ImmW(0x10)}}) // unresolved: ⊥
-	if _, ok := b.ResolveReg(2, regs, ra); ok {
+	if _, ok := m.ResolveReg(2, ra); ok {
 		t.Fatal("unresolved load ⇒ ⊥")
 	}
 	ld, _ := b.Get(1)
 	ld.PredFwd = true
 	ld.PredVal = mem.Sec(9)
 	ld.PredFrom = 0
-	if v, ok := b.ResolveReg(2, regs, ra); !ok || v != mem.Sec(9) {
+	if v, ok := m.ResolveReg(2, ra); !ok || v != mem.Sec(9) {
 		t.Fatalf("partially resolved load must supply its value, got %v, %t", v, ok)
 	}
 }
 
 func TestResolveOperandImmediate(t *testing.T) {
-	b := NewBuffer()
-	regs := mem.NewRegisterFile()
-	v, ok := b.ResolveOperand(1, regs, isa.Imm(mem.Sec(5)))
+	m := &Machine{Buf: NewBuffer[Transient](), Regs: mem.NewRegisterFile()}
+	v, ok := m.ResolveOperand(1, isa.Imm(mem.Sec(5)))
 	if !ok || v != mem.Sec(5) {
 		t.Fatalf("immediate resolve = %v, %t", v, ok)
 	}

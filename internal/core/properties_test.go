@@ -91,7 +91,7 @@ func randomSchedule(m *Machine, rng *rand.Rand, maxSteps int) Schedule {
 				candidates = append(candidates, Fetch())
 			}
 		}
-		for _, i := range m.Buf.Indices() {
+		for i := m.Buf.Min(); i <= m.Buf.Max(); i++ {
 			t, _ := m.Buf.Get(i)
 			switch t.Kind {
 			case TOp, TBr, TJmpi, TLoad:

@@ -99,6 +99,10 @@ func (t *Transient) AssignsReg(r isa.Reg) bool {
 	return false
 }
 
+// IsFence reports whether the entry is a fence, the reorder buffer's
+// execute side condition.
+func (t *Transient) IsFence() bool { return t.Kind == TFence }
+
 // Resolved reports whether the instruction needs no further execute
 // steps before it can retire.
 func (t *Transient) Resolved() bool {

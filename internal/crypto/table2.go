@@ -13,7 +13,7 @@ import (
 type Finding uint8
 
 const (
-	// Clean: no SCT violation found at either phase.
+	// Clean: no SCT violation found, with both phases fully explored.
 	Clean Finding = iota
 	// Flagged: violation found without forwarding-hazard detection
 	// (the paper's plain checkmark).
@@ -21,6 +21,10 @@ const (
 	// FlaggedFwd: violation found only with forwarding-hazard
 	// detection (the paper's "f").
 	FlaggedFwd
+	// Inconclusive: no violation found, but a phase gave up (state
+	// budget exhausted or interrupted), so the build is not shown
+	// clean.
+	Inconclusive
 )
 
 // String renders the cell in the paper's notation.
@@ -30,6 +34,8 @@ func (f Finding) String() string {
 		return "✓"
 	case FlaggedFwd:
 		return "f"
+	case Inconclusive:
+		return "?"
 	default:
 		return "–"
 	}
@@ -62,7 +68,10 @@ func (o Options) withDefaults() Options {
 }
 
 // Analyze runs the paper's two-phase procedure on one build and folds
-// the two reports into a Table 2 cell.
+// the two reports into a Table 2 cell. A violation found by either
+// phase flags the cell; Clean requires both phases to finish without
+// truncation or interruption, and anything short of that is
+// Inconclusive.
 func Analyze(c Case, mode ct.Mode, opts Options) (Finding, error) {
 	opts = opts.withDefaults()
 	comp, err := c.Build(mode)
@@ -92,6 +101,9 @@ func Analyze(c Case, mode ct.Mode, opts Options) (Finding, error) {
 	}
 	if !p2.SecretFree() {
 		return FlaggedFwd, nil
+	}
+	if p1.Truncated || p1.Interrupted || p2.Truncated || p2.Interrupted {
+		return Inconclusive, nil
 	}
 	return Clean, nil
 }

@@ -59,6 +59,10 @@ type Successor struct {
 // semantics. Implementations are mutable; Clone forks them at
 // exploration fork points. All scheduling policy lives in the engine —
 // a Machine only applies single directives and reports its shape.
+// Both domains keep their reorder buffer in a core.Buffer, which also
+// owns the execute rules' fence side condition; the engine sees the
+// buffer only through BufMin, BufMax and View, and finds the first
+// fence in the same forward scan that picks the next directive.
 type Machine interface {
 	// Clone returns an independent deep copy.
 	Clone() Machine
@@ -78,9 +82,6 @@ type Machine interface {
 	BufMax() int
 	// View projects the buffer entry at index i.
 	View(i int) (TransientView, bool)
-	// FenceBefore reports whether an unretired fence sits at an index
-	// below i (the execute rules' side condition).
-	FenceBefore(i int) bool
 	// RSBTop reports top(σ), the return-stack prediction, if present.
 	RSBTop() (isa.Addr, bool)
 	// PeekJmpi resolves the architectural target of an indirect jump
@@ -151,12 +152,10 @@ func (c *concreteMachine) View(i int) (TransientView, bool) {
 	}, true
 }
 
-func (c *concreteMachine) FenceBefore(i int) bool { return c.m.Buf.FenceBefore(i) }
-
 func (c *concreteMachine) RSBTop() (isa.Addr, bool) { return c.m.RSB.Top() }
 
 func (c *concreteMachine) PeekJmpi(in isa.Instr) (isa.Addr, bool) {
-	vals, ok := c.m.Buf.ResolveOperands(c.m.Buf.Max()+1, c.m.Regs, in.Args)
+	vals, ok := c.m.ResolveOperands(c.m.Buf.Max()+1, in.Args)
 	if !ok {
 		return 0, false
 	}
@@ -168,7 +167,7 @@ func (c *concreteMachine) PeekJmpi(in isa.Instr) (isa.Addr, bool) {
 }
 
 func (c *concreteMachine) PeekRet() (isa.Addr, bool) {
-	sp, ok := c.m.Buf.ResolveOperands(c.m.Buf.Max()+1, c.m.Regs, []isa.Operand{isa.R(mem.RSP)})
+	sp, ok := c.m.ResolveOperands(c.m.Buf.Max()+1, []isa.Operand{isa.R(mem.RSP)})
 	if !ok {
 		return 0, false
 	}

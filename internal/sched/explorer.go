@@ -575,13 +575,18 @@ func forceOne(opts *Options, st *state, i int, t TransientView, emit func(*state
 // step was taken.
 func executePhase(opts *Options, st *state, emit func(*state)) bool {
 	m := st.m
+	// One forward scan: it stops at the first fence (nothing beyond a
+	// pending fence may execute) and records the oldest pending branch
+	// for the branch pass below.
+	last, oldest := m.BufMax(), 0
 	for i := m.BufMin(); i <= m.BufMax(); i++ {
 		t, ok := m.View(i)
 		if !ok {
 			continue
 		}
-		if m.FenceBefore(i) {
-			break // nothing beyond a pending fence may execute
+		if t.Kind == core.TFence {
+			last = i
+			break
 		}
 		switch t.Kind {
 		case core.TOp:
@@ -599,6 +604,9 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 				return true
 			}
 		case core.TBr:
+			if oldest == 0 {
+				oldest = i
+			}
 			continue // branches resolve in the second pass below
 		case core.TStore:
 			if !t.ValKnown {
@@ -624,10 +632,10 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 	// to the last possible moment (maximizing its misprediction
 	// window), while branches nested inside that window resolve
 	// eagerly so their own observations and rollbacks land within it.
-	oldest := oldestPendingBranch(m)
-	for i := m.BufMax(); i > oldest && oldest != 0; i-- {
+	// Only branches at or below the first fence may execute.
+	for i := last; i > oldest && oldest != 0; i-- {
 		t, ok := m.View(i)
-		if !ok || t.Kind != core.TBr || m.FenceBefore(i) {
+		if !ok || t.Kind != core.TBr {
 			continue
 		}
 		if apply(opts, st, core.Execute(i), emit) {
@@ -850,15 +858,4 @@ func CountSchedules(m *core.Machine, bound int, forwardHazards bool, maxStates i
 	}
 	res := e.Explore(m)
 	return res.Paths, res.States, res.Truncated, nil
-}
-
-// oldestPendingBranch returns the lowest buffer index holding an
-// unresolved conditional branch, or 0 if none.
-func oldestPendingBranch(m Machine) int {
-	for j := m.BufMin(); j <= m.BufMax(); j++ {
-		if t, ok := m.View(j); ok && t.Kind == core.TBr {
-			return j
-		}
-	}
-	return 0
 }

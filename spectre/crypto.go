@@ -11,7 +11,9 @@ import (
 // case study analyzed under the branchy C backend and the
 // constant-time FaCT backend. Cells use the paper's notation — "✓" for
 // a violation found without forwarding-hazard detection, "f" for one
-// found only with it, "–" for clean.
+// found only with it, "–" for clean (both phases fully explored) — plus
+// "?" for inconclusive: no violation found, but a phase exhausted its
+// state budget or was interrupted.
 type Table2Row struct {
 	Case string `json:"case"`
 	C    string `json:"c"`
