@@ -4,25 +4,39 @@
 //
 // Usage:
 //
-//	specrun [fig1|fig2|fig5|fig6|fig7|fig8|fig11|fig13 ...]
+//	specrun [fig1|fig2|fig4|fig5|fig6|fig7|fig8|fig11|fig12|fig13 ...]
 //
-// With no arguments, the whole gallery runs.
+// With no arguments, the whole gallery runs. An unknown figure ID is a
+// usage error (exit 2).
 package main
 
 import (
 	"fmt"
 	"os"
+	"strings"
 
 	"pitchfork/spectre"
 )
 
 func main() {
+	gallery := spectre.Gallery()
+	known := map[string]bool{}
+	for _, f := range gallery {
+		known[f.ID] = true
+	}
 	want := map[string]bool{}
+	var unknown []string
 	for _, a := range os.Args[1:] {
+		if !known[a] {
+			unknown = append(unknown, a)
+		}
 		want[a] = true
 	}
-	ran := 0
-	for _, f := range spectre.Gallery() {
+	if len(unknown) > 0 {
+		fmt.Fprintf(os.Stderr, "specrun: unknown figure(s): %s\n", strings.Join(unknown, ", "))
+		os.Exit(2)
+	}
+	for _, f := range gallery {
 		if len(want) > 0 && !want[f.ID] {
 			continue
 		}
@@ -32,10 +46,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(out)
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "specrun: no matching figures")
-		os.Exit(2)
 	}
 }

@@ -7,8 +7,9 @@ import (
 
 // Entry is the constraint on a reorder-buffer entry type T: the
 // buffer holds *T, and needs to know only which entries are fences
-// (the execute rules' side condition). Both value domains — the
-// concrete Transient and the symbolic engine's transient — use it.
+// (the execute rules' side condition). Both value domains' transients,
+// TransientOf[V] for labeled words and for symbolic expressions, use
+// it.
 type Entry[T any] interface {
 	*T
 	IsFence() bool

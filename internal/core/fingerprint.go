@@ -34,29 +34,42 @@ func (f *hasher) value(v mem.Value) {
 // accept that). The static program and the machine parameters are not
 // hashed: they are constant across one exploration.
 func (m *Machine) Fingerprint() uint64 {
-	f := newHasher()
-	f.word(uint64(m.PC))
-	f.word(uint64(m.Retired))
 	// Register file and memory maintain incremental order-independent
 	// hash sums (updated on every Write), so their contribution is
 	// O(1) here — crucial, since the dedup table fingerprints every
 	// explored state.
-	f.word(m.Regs.HashSum())
-	f.word(m.Mem.HashSum())
-	f.word(uint64(m.Buf.Min()))
-	for i := m.Buf.Min(); i <= m.Buf.Max(); i++ {
-		t, _ := m.Buf.Get(i)
-		t.hashInto(&f)
+	return m.Hash(hashValue, m.Regs.HashSum(), m.Mem.HashSum())
+}
+
+func hashValue(v mem.Value) uint64 { return mem.Mix64(v.W) ^ uint64(v.L) }
+
+// Hash fingerprints the pipeline — PC, retired count, the domain's
+// state words, reorder-buffer contents, and the RSB journal — with
+// data values hashed by hv. A domain passes the words that summarize
+// the rest of its configuration (register-file and memory hash sums,
+// and for the symbolic domain the path condition).
+func (p *Pipeline[V]) Hash(hv func(V) uint64, state ...uint64) uint64 {
+	f := newHasher()
+	f.word(uint64(p.PC))
+	f.word(uint64(p.Retired))
+	for _, w := range state {
+		f.word(w)
 	}
-	m.RSB.hashInto(&f)
+	f.word(uint64(p.Buf.Min()))
+	for i := p.Buf.Min(); i <= p.Buf.Max(); i++ {
+		t, _ := p.Buf.Get(i)
+		t.hashInto(&f, hv)
+	}
+	p.RSB.hashInto(&f)
 	return f.h
 }
 
 // hashInto feeds every semantically meaningful transient field to the
-// hasher. Fields that are inert for the current Kind still hash (they
-// are zero-valued there), which keeps the function branch-free and
-// future-proof against new resolution flags.
-func (t *Transient) hashInto(f *hasher) {
+// hasher, data values through hv. Fields that are inert for the
+// current Kind still hash (they are zero-valued there), which keeps
+// the function branch-free and future-proof against new resolution
+// flags.
+func (t *TransientOf[V]) hashInto(f *hasher, hv func(V) uint64) {
 	f.word(uint64(t.Kind))
 	f.word(uint64(t.Dst))
 	f.word(uint64(t.Op))
@@ -66,7 +79,7 @@ func (t *Transient) hashInto(f *hasher) {
 		f.word(uint64(a.Reg))
 		f.value(a.Imm)
 	}
-	f.value(t.Val)
+	f.word(hv(t.Val))
 	f.bool(t.FromLoad)
 	f.word(uint64(t.Dep))
 	f.word(t.DataAddr)
@@ -79,11 +92,11 @@ func (t *Transient) hashInto(f *hasher) {
 	f.word(uint64(t.Src.Reg))
 	f.value(t.Src.Imm)
 	f.bool(t.ValKnown)
-	f.value(t.SVal)
+	f.word(hv(t.SVal))
 	f.bool(t.AddrKnown)
 	f.value(t.SAddr)
 	f.bool(t.PredFwd)
-	f.value(t.PredVal)
+	f.word(hv(t.PredVal))
 	f.word(uint64(t.PredFrom))
 }
 

@@ -77,7 +77,7 @@ func TestBufferString(t *testing.T) {
 }
 
 func TestRegisterResolveLatestWins(t *testing.T) {
-	m := &Machine{Buf: NewBuffer[Transient](), Regs: mem.NewRegisterFile()}
+	m := New(fig1Program())
 	b := m.Buf
 	m.Regs.Write(ra, mem.Pub(1))
 	b.Append(&Transient{Kind: TValue, Dst: ra, Val: mem.Pub(2)})                              // 1
@@ -106,7 +106,7 @@ func TestRegisterResolveLatestWins(t *testing.T) {
 }
 
 func TestRegisterResolveThroughPredictedLoad(t *testing.T) {
-	m := &Machine{Buf: NewBuffer[Transient](), Regs: mem.NewRegisterFile()}
+	m := New(fig1Program())
 	b := m.Buf
 	b.Append(&Transient{Kind: TLoad, Dst: ra, Args: []isa.Operand{isa.ImmW(0x10)}}) // unresolved: ⊥
 	if _, ok := m.ResolveReg(2, ra); ok {
@@ -122,7 +122,7 @@ func TestRegisterResolveThroughPredictedLoad(t *testing.T) {
 }
 
 func TestResolveOperandImmediate(t *testing.T) {
-	m := &Machine{Buf: NewBuffer[Transient](), Regs: mem.NewRegisterFile()}
+	m := New(fig1Program())
 	v, ok := m.ResolveOperand(1, isa.Imm(mem.Sec(5)))
 	if !ok || v != mem.Sec(5) {
 		t.Fatalf("immediate resolve = %v, %t", v, ok)

@@ -65,7 +65,7 @@ func RunSequential(m *Machine, maxInstrs int) (Schedule, Trace, error) {
 			i := m.Buf.Max() + 1
 			fetchD := Fetch()
 			if _, haveTop := m.RSB.Top(); !haveTop {
-				if m.RSBPolicy == RSBRefuse {
+				if m.RSB.Policy() == RSBRefuse {
 					return sched, trace, fmt.Errorf("core: sequential ret at %d with empty RSB under refuse policy", m.PC)
 				}
 				target, peekErr := m.peekReturnTarget()

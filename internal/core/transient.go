@@ -42,10 +42,13 @@ const (
 	TFence              // fence
 )
 
-// Transient is a transient instruction: the unit the reorder buffer
-// holds. A single struct covers every form; Kind plus the resolution
-// flags determine which fields are meaningful.
-type Transient struct {
+// TransientOf is a transient instruction over the value domain V: the
+// unit the reorder buffer holds. A single struct covers every form;
+// Kind plus the resolution flags determine which fields are
+// meaningful. Only the fields holding data values (Val, SVal, PredVal)
+// take V; program points, operands, and a store's resolved address are
+// the same in every domain.
+type TransientOf[V any] struct {
 	Kind TKind
 
 	Dst  isa.Reg       // TOp, TValue, TLoad: destination register r
@@ -55,7 +58,7 @@ type Transient struct {
 	// TValue fields. A plain resolved value has FromLoad == false. A
 	// resolved load carries the paper's {dep, addr} annotation and the
 	// program point of its physical load.
-	Val      mem.Value
+	Val      V
 	FromLoad bool
 	Dep      int      // forwarding store's buffer index, or NoDep (⊥)
 	DataAddr mem.Word // annotated address a
@@ -77,7 +80,7 @@ type Transient struct {
 	// (execute i : value, execute i : addr), in either order.
 	Src       isa.Operand // unresolved data operand rv
 	ValKnown  bool
-	SVal      mem.Value // resolved data vℓ
+	SVal      V // resolved data vℓ
 	AddrKnown bool
 	SAddr     mem.Value // resolved address aℓa (word + joined label)
 
@@ -85,13 +88,17 @@ type Transient struct {
 	// (r = load(r⃗v, (vℓ, j)))n speculatively carries the value of the
 	// store at index PredFrom before the addresses are known.
 	PredFwd  bool
-	PredVal  mem.Value
+	PredVal  V
 	PredFrom int
 }
 
+// Transient is the concrete domain's transient instruction, over
+// labeled words.
+type Transient = TransientOf[mem.Value]
+
 // AssignsReg reports whether the transient instruction targets register
 // r — the candidates the register resolve function (Fig. 3) scans for.
-func (t *Transient) AssignsReg(r isa.Reg) bool {
+func (t *TransientOf[V]) AssignsReg(r isa.Reg) bool {
 	switch t.Kind {
 	case TOp, TValue, TLoad:
 		return t.Dst == r
@@ -101,11 +108,11 @@ func (t *Transient) AssignsReg(r isa.Reg) bool {
 
 // IsFence reports whether the entry is a fence, the reorder buffer's
 // execute side condition.
-func (t *Transient) IsFence() bool { return t.Kind == TFence }
+func (t *TransientOf[V]) IsFence() bool { return t.Kind == TFence }
 
 // Resolved reports whether the instruction needs no further execute
 // steps before it can retire.
-func (t *Transient) Resolved() bool {
+func (t *TransientOf[V]) Resolved() bool {
 	switch t.Kind {
 	case TValue, TJump, TFence, TCall, TRet:
 		return true
@@ -119,13 +126,13 @@ func (t *Transient) Resolved() bool {
 // IsResolvedStoreTo reports whether the instruction is a store whose
 // address has resolved to a — the buf(j) = store(_, a) pattern of the
 // load rules.
-func (t *Transient) IsResolvedStoreTo(a mem.Word) bool {
+func (t *TransientOf[V]) IsResolvedStoreTo(a mem.Word) bool {
 	return t.Kind == TStore && t.AddrKnown && t.SAddr.W == a
 }
 
 // String renders the transient instruction in the paper's notation,
 // e.g. "(rb = load([64, ra]))", "store(12, 67pub)", "jump 9".
-func (t *Transient) String() string {
+func (t *TransientOf[V]) String() string {
 	switch t.Kind {
 	case TOp:
 		return fmt.Sprintf("(%s = op(%s, %s))", isa.RegName(t.Dst), t.Op, opList(t.Args))
@@ -135,22 +142,22 @@ func (t *Transient) String() string {
 			if t.Dep != NoDep {
 				dep = fmt.Sprintf("%d", t.Dep)
 			}
-			return fmt.Sprintf("(%s = %s{%s, %#x})", isa.RegName(t.Dst), t.Val, dep, t.DataAddr)
+			return fmt.Sprintf("(%s = %v{%s, %#x})", isa.RegName(t.Dst), t.Val, dep, t.DataAddr)
 		}
-		return fmt.Sprintf("(%s = %s)", isa.RegName(t.Dst), t.Val)
+		return fmt.Sprintf("(%s = %v)", isa.RegName(t.Dst), t.Val)
 	case TBr:
 		return fmt.Sprintf("br(%s, %s, %d, (%d, %d))", t.Op, opList(t.Args), t.Guess, t.True, t.False)
 	case TJump:
 		return fmt.Sprintf("jump %d", t.Target)
 	case TLoad:
 		if t.PredFwd {
-			return fmt.Sprintf("(%s = load(%s, (%s, %d)))", isa.RegName(t.Dst), opList(t.Args), t.PredVal, t.PredFrom)
+			return fmt.Sprintf("(%s = load(%s, (%v, %d)))", isa.RegName(t.Dst), opList(t.Args), t.PredVal, t.PredFrom)
 		}
 		return fmt.Sprintf("(%s = load(%s))", isa.RegName(t.Dst), opList(t.Args))
 	case TStore:
 		src := t.Src.String()
 		if t.ValKnown {
-			src = t.SVal.String()
+			src = fmt.Sprint(t.SVal)
 		}
 		if t.AddrKnown {
 			return fmt.Sprintf("store(%s, %s)", src, t.SAddr)
@@ -176,29 +183,29 @@ func opList(args []isa.Operand) string {
 	return "[" + strings.Join(parts, ", ") + "]"
 }
 
-// transientOf translates a physical instruction to its unresolved
+// fetchForm translates a physical instruction to its unresolved
 // transient form (the transient(·) function of simple-fetch). Stores
 // whose data operand is an immediate arrive with the value pre-resolved
-// — the paper notes "either step may be skipped if data or address are
-// already in immediate form". Operand slices are shared with the
-// static program: operands are immutable after assembly and transients
-// never rewrite Args, so no copy is needed (branch and jmpi fetches
-// already share them).
-func transientValue(in isa.Instr) Transient {
+// through the domain's Imm — the paper notes "either step may be
+// skipped if data or address are already in immediate form". Operand
+// slices are shared with the static program: operands are immutable
+// after assembly and transients never rewrite Args, so no copy is
+// needed (branch and jmpi fetches already share them).
+func fetchForm[V any](in isa.Instr, dom Domain[V]) TransientOf[V] {
 	switch in.Kind {
 	case isa.KOp:
-		return Transient{Kind: TOp, Dst: in.Dst, Op: in.Op, Args: in.Args}
+		return TransientOf[V]{Kind: TOp, Dst: in.Dst, Op: in.Op, Args: in.Args}
 	case isa.KLoad:
-		return Transient{Kind: TLoad, Dst: in.Dst, Args: in.Args}
+		return TransientOf[V]{Kind: TLoad, Dst: in.Dst, Args: in.Args}
 	case isa.KStore:
-		t := Transient{Kind: TStore, Src: in.Src, Args: in.Args}
+		t := TransientOf[V]{Kind: TStore, Src: in.Src, Args: in.Args}
 		if !in.Src.IsReg {
 			t.ValKnown = true
-			t.SVal = in.Src.Imm
+			t.SVal = dom.Imm(in.Src.Imm)
 		}
 		return t
 	case isa.KFence:
-		return Transient{Kind: TFence}
+		return TransientOf[V]{Kind: TFence}
 	}
-	panic(fmt.Sprintf("core: transientOf(%v): not a simple-fetch instruction", in.Kind))
+	panic(fmt.Sprintf("core: fetchForm(%v): not a simple-fetch instruction", in.Kind))
 }

@@ -8,11 +8,12 @@ import (
 	"pitchfork/internal/symx"
 )
 
-// TestResolveArgsAllocFree pins the scratch-buffer optimization:
-// resolving a register operand list must not allocate once the scratch
-// has grown to the list length (resolveArgs was the engine's hottest
-// allocation site). Immediate operands box a fresh Const and are
-// exempt; register reads out of the regfile must be free.
+// TestResolveArgsAllocFree pins the scratch-buffer optimization on the
+// shared resolver: resolving a register operand list of up to four
+// operands through the symbolic pipeline must not allocate (operand
+// resolution was the engine's hottest allocation site). Immediate
+// operands box a fresh Const and are exempt; register reads out of the
+// regfile must be free.
 func TestResolveArgsAllocFree(t *testing.T) {
 	b := isa.NewBuilder(1)
 	b.Op(isa.Reg(0), isa.OpAdd, isa.R(isa.Reg(1)), isa.R(isa.Reg(2)))
@@ -29,24 +30,25 @@ func TestResolveArgsAllocFree(t *testing.T) {
 		isa.R(isa.Reg(1)), isa.R(isa.Reg(2)),
 		isa.R(isa.Reg(1)), isa.R(isa.Reg(2)),
 	}
-	if _, ok := s.resolveArgs(s.buf.Min(), args); !ok {
+	if _, ok := s.pipe.ResolveOperands(s.BufMin(), args); !ok {
 		t.Fatal("warm-up resolve failed")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, ok := s.resolveArgs(s.buf.Min(), args); !ok {
+		if _, ok := s.pipe.ResolveOperands(s.BufMin(), args); !ok {
 			t.Fatal("resolve failed")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("resolveArgs allocates %.1f times per call; want 0 (scratch regression)", allocs)
+		t.Fatalf("ResolveOperands allocates %.1f times per call; want 0 (scratch regression)", allocs)
 	}
 }
 
-// TestResolveRegAllocFree pins resolveReg, resolveArgs' twin on the
-// operand-resolution hot path: resolving a register must not allocate
-// — neither through the speculative buffer, nor out of the register
-// file, nor on the unset-register default (which now returns the
-// canonical symx.Zero instead of boxing a fresh Const per call).
+// TestResolveRegAllocFree pins the shared register resolve on the
+// symbolic domain, ResolveOperands' twin on the operand-resolution hot
+// path: resolving a register must not allocate — neither through the
+// speculative buffer, nor out of the register file, nor on the
+// unset-register default (ReadReg returns the canonical symx.Zero
+// instead of boxing a fresh Const per call).
 func TestResolveRegAllocFree(t *testing.T) {
 	b := isa.NewBuilder(1)
 	b.Op(isa.Reg(0), isa.OpAdd, isa.R(isa.Reg(1)), isa.R(isa.Reg(2)))
@@ -60,15 +62,15 @@ func TestResolveRegAllocFree(t *testing.T) {
 
 	for _, r := range []isa.Reg{isa.Reg(1), isa.Reg(9)} { // set and unset
 		allocs := testing.AllocsPerRun(200, func() {
-			if _, ok := s.resolveReg(s.buf.Min(), r); !ok {
+			if _, ok := s.pipe.ResolveReg(s.BufMin(), r); !ok {
 				t.Fatal("resolve failed")
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("resolveReg(r%d) allocates %.1f times per call; want 0", r, allocs)
+			t.Fatalf("ResolveReg(r%d) allocates %.1f times per call; want 0", r, allocs)
 		}
 	}
-	if e, ok := s.resolveReg(s.buf.Min(), isa.Reg(9)); !ok || e != symx.Zero {
+	if e, ok := s.pipe.ResolveReg(s.BufMin(), isa.Reg(9)); !ok || e != symx.Zero {
 		t.Fatal("unset register must resolve to the canonical zero expression")
 	}
 }
@@ -76,7 +78,7 @@ func TestResolveRegAllocFree(t *testing.T) {
 // TestApplyArgsCopiesRetainedScratch guards the other half of the
 // scratch contract: when symx.Apply keeps the argument slice verbatim
 // (the default unsimplified path), applyArgs must hand the expression
-// a private copy, or the next resolveArgs would rewrite a live
+// a private copy, or the next ResolveOperands would rewrite a live
 // expression's operands in place.
 func TestApplyArgsCopiesRetainedScratch(t *testing.T) {
 	b := isa.NewBuilder(1)
@@ -90,11 +92,11 @@ func TestApplyArgsCopiesRetainedScratch(t *testing.T) {
 	init.SetReg(isa.Reg(2), symx.NewVar("b", mem.Public))
 	s := newSymMachine(init)
 
-	args, ok := s.resolveArgs(s.buf.Min(), []isa.Operand{isa.R(isa.Reg(1)), isa.R(isa.Reg(2))})
+	args, ok := s.pipe.ResolveOperands(s.BufMin(), []isa.Operand{isa.R(isa.Reg(1)), isa.R(isa.Reg(2))})
 	if !ok {
 		t.Fatal("resolve failed")
 	}
-	e := s.applyArgs(isa.OpLt, args)
+	e := applyArgs(isa.OpLt, args)
 	o, ok := e.(symx.Op)
 	if !ok {
 		t.Fatalf("expected an unsimplified Op expression, got %T", e)
@@ -103,10 +105,10 @@ func TestApplyArgsCopiesRetainedScratch(t *testing.T) {
 		t.Fatal("applyArgs returned an expression aliasing the scratch buffer")
 	}
 	before := o.Args[0]
-	if _, ok := s.resolveArgs(s.buf.Min(), []isa.Operand{isa.R(isa.Reg(2)), isa.R(isa.Reg(1))}); !ok {
+	if _, ok := s.pipe.ResolveOperands(s.BufMin(), []isa.Operand{isa.R(isa.Reg(2)), isa.R(isa.Reg(1))}); !ok {
 		t.Fatal("second resolve failed")
 	}
 	if o.Args[0] != before {
-		t.Fatal("a later resolveArgs mutated a retained expression's operands")
+		t.Fatal("a later ResolveOperands mutated a retained expression's operands")
 	}
 }

@@ -5,8 +5,10 @@
 //
 // Both modes run on one domain-parameterized speculation engine — the
 // DT(n) schedule strategy, work-stealing pool, fingerprint dedup,
-// budgets, and deterministic violation merge of internal/sched —
-// instantiated over two value domains:
+// budgets, and deterministic violation merge of internal/sched — and
+// on one set of value-independent step rules, core.Pipeline (fetch,
+// register resolve, forwarding search, store resolution and hazards,
+// jump settle, retire), instantiated over two value domains:
 //
 //   - Concrete mode (Analyze): the program runs on the reference
 //     machine of internal/core with concrete, labeled inputs. Sound
@@ -158,6 +160,13 @@ func violationOf(v sched.Violation) Violation {
 
 // Analyze runs the concrete-mode detector on a machine configuration.
 func Analyze(m *core.Machine, opts Options) (Report, error) {
+	return analyze(sched.Concrete(m), "concrete", opts)
+}
+
+// analyze maps the options onto the engine, explores from m — either
+// domain's initial configuration — and lifts the result into a report
+// of the given mode.
+func analyze(m sched.Machine, mode string, opts Options) (Report, error) {
 	sopts := sched.Options{
 		Bound:          opts.Bound,
 		ForwardHazards: opts.ForwardHazards,
@@ -177,13 +186,13 @@ func Analyze(m *core.Machine, opts Options) (Report, error) {
 	}
 	e, err := sched.NewExplorer(sopts)
 	if err != nil {
-		return Report{}, err
+		return Report{}, fmt.Errorf("pitchfork: %w", err)
 	}
-	res := e.Explore(m)
+	res := e.ExploreMachine(m)
 	rep := Report{
 		States: res.States, Paths: res.Paths,
 		Truncated: res.Truncated, Interrupted: res.Interrupted,
-		Mode: "concrete", Workers: res.Workers, DedupHits: res.DedupHits,
+		Mode: mode, Workers: res.Workers, DedupHits: res.DedupHits,
 	}
 	for _, v := range res.Violations {
 		rep.Violations = append(rep.Violations, violationOf(v))

@@ -59,8 +59,11 @@ type Successor struct {
 // semantics. Implementations are mutable; Clone forks them at
 // exploration fork points. All scheduling policy lives in the engine —
 // a Machine only applies single directives and reports its shape.
-// Both domains keep their reorder buffer in a core.Buffer, which also
-// owns the execute rules' fence side condition; the engine sees the
+// Both domains embed a core.Pipeline: one reorder buffer type and one
+// set of value-independent step rules (fetch, register resolve,
+// forwarding search, store resolution with its hazard scan, jump
+// settle, retire), with only value evaluation, branch resolution,
+// memory reads and faults left to the domain. The engine sees the
 // buffer only through BufMin, BufMax and View, and finds the first
 // fence in the same forward scan that picks the next directive.
 type Machine interface {
@@ -167,11 +170,11 @@ func (c *concreteMachine) PeekJmpi(in isa.Instr) (isa.Addr, bool) {
 }
 
 func (c *concreteMachine) PeekRet() (isa.Addr, bool) {
-	sp, ok := c.m.ResolveOperands(c.m.Buf.Max()+1, []isa.Operand{isa.R(mem.RSP)})
+	sp, ok := c.m.ResolveReg(c.m.Buf.Max()+1, mem.RSP)
 	if !ok {
 		return 0, false
 	}
-	v, err := c.m.Mem.Read(sp[0].W)
+	v, err := c.m.Mem.Read(sp.W)
 	if err != nil {
 		return 0, false
 	}

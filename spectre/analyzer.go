@@ -150,6 +150,21 @@ func (a *Analyzer) run(ctx context.Context, p *Program, bound int, fwd bool, yie
 	return a.runWith(ctx, p, bound, fwd, yield, a.cfg.Workers)
 }
 
+// detect runs the configured detector — symbolic or concrete — on p.
+// opts carries the per-call settings (bound, hazards, workers, pruning
+// hints, streaming); detect adds the analyzer-wide budgets and dedup
+// size and wires ctx cancellation into the exploration.
+func (a *Analyzer) detect(ctx context.Context, p *Program, opts pitchfork.Options) (pitchfork.Report, error) {
+	opts.MaxStates = a.cfg.MaxStates
+	opts.MaxRetired = a.cfg.MaxRetired
+	opts.DedupEntries = a.cfg.DedupEntries
+	opts.Interrupt = func() bool { return ctx.Err() != nil }
+	if a.cfg.Symbolic {
+		return pitchfork.AnalyzeSymbolic(p.symMachine(), opts)
+	}
+	return pitchfork.Analyze(p.machine(), opts)
+}
+
 // runWith is run with an explicit worker count — the batch API fans
 // programs across the pool and runs each program's exploration on a
 // single goroutine.
@@ -184,12 +199,8 @@ func (a *Analyzer) runWith(ctx context.Context, p *Program, bound int, fwd bool,
 	opts := pitchfork.Options{
 		Bound:          bound,
 		ForwardHazards: fwd,
-		MaxStates:      a.cfg.MaxStates,
-		MaxRetired:     a.cfg.MaxRetired,
 		StopAtFirst:    a.cfg.StopAtFirst,
 		Workers:        workers,
-		DedupEntries:   a.cfg.DedupEntries,
-		Interrupt:      func() bool { return ctx.Err() != nil },
 		Prune:          pruneHints(static),
 	}
 	if yield != nil {
@@ -197,13 +208,7 @@ func (a *Analyzer) runWith(ctx context.Context, p *Program, bound int, fwd bool,
 			return yield(findingOf(v))
 		}
 	}
-	var irep pitchfork.Report
-	var err error
-	if a.cfg.Symbolic {
-		irep, err = pitchfork.AnalyzeSymbolic(p.symMachine(), opts)
-	} else {
-		irep, err = pitchfork.Analyze(p.machine(), opts)
-	}
+	irep, err := a.detect(ctx, p, opts)
 	if err != nil {
 		return nil, fmt.Errorf("spectre: %w", err)
 	}

@@ -285,11 +285,7 @@ func (a *Analyzer) repairVerifier(ctx context.Context, p *Program, workers int) 
 		opts := pitchfork.Options{
 			Bound:          a.cfg.Bound,
 			ForwardHazards: a.cfg.ForwardHazards,
-			MaxStates:      a.cfg.MaxStates,
-			MaxRetired:     a.cfg.MaxRetired,
 			Workers:        workers,
-			DedupEntries:   a.cfg.DedupEntries,
-			Interrupt:      func() bool { return ctx.Err() != nil },
 		}
 		if a.cfg.StaticPass {
 			// The hints must match the candidate's address space, so the
@@ -299,13 +295,7 @@ func (a *Analyzer) repairVerifier(ctx context.Context, p *Program, workers int) 
 				opts.Prune = pruneHints(srep)
 			}
 		}
-		var rep pitchfork.Report
-		var err error
-		if a.cfg.Symbolic {
-			rep, err = pitchfork.AnalyzeSymbolic(q.symMachine(), opts)
-		} else {
-			rep, err = pitchfork.Analyze(q.machine(), opts)
-		}
+		rep, err := a.detect(ctx, q, opts)
 		if err != nil {
 			return rep, err
 		}
