@@ -220,16 +220,16 @@ func BenchmarkScheduleGeneration(b *testing.B) {
 				m := kocherMachine()
 				b.ReportAllocs()
 				b.ResetTimer()
-				var paths, states int
+				opts := sched.Options{Bound: bound, ForwardHazards: fwd, MaxStates: 2_000_000}
+				var res sched.Result
 				for i := 0; i < b.N; i++ {
 					var err error
-					paths, states, _, err = sched.CountSchedules(m, bound, fwd, 2_000_000)
-					if err != nil {
+					if res, err = sched.Explore(sched.Concrete(m), opts); err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(paths), "paths")
-				b.ReportMetric(float64(states), "states")
+				b.ReportMetric(float64(res.Paths), "paths")
+				b.ReportMetric(float64(res.States), "states")
 			})
 		}
 	}
@@ -245,19 +245,19 @@ func BenchmarkScheduleGenerationParallel(b *testing.B) {
 		for _, fwd := range []bool{false, true} {
 			name := fmt.Sprintf("bound=%d/fwd=%t", bound, fwd)
 			b.Run(name, func(b *testing.B) {
-				e, err := sched.NewExplorer(sched.Options{
+				opts := sched.Options{
 					Bound: bound, ForwardHazards: fwd,
 					MaxStates: 2_000_000, Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
 				}
 				m := kocherMachine()
 				b.ReportAllocs()
 				b.ResetTimer()
 				var res sched.Result
 				for i := 0; i < b.N; i++ {
-					res = e.Explore(m)
+					var err error
+					if res, err = sched.Explore(sched.Concrete(m), opts); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.ReportMetric(float64(res.Paths), "paths")
 				b.ReportMetric(float64(res.States), "states")
@@ -273,19 +273,19 @@ func BenchmarkScheduleGenerationDedup(b *testing.B) {
 	for _, bound := range []int{20, 100} {
 		name := fmt.Sprintf("bound=%d/fwd=true", bound)
 		b.Run(name, func(b *testing.B) {
-			e, err := sched.NewExplorer(sched.Options{
+			opts := sched.Options{
 				Bound: bound, ForwardHazards: true,
 				MaxStates: 2_000_000, DedupEntries: 1 << 20,
-			})
-			if err != nil {
-				b.Fatal(err)
 			}
 			m := kocherMachine()
 			b.ReportAllocs()
 			b.ResetTimer()
 			var res sched.Result
 			for i := 0; i < b.N; i++ {
-				res = e.Explore(m)
+				var err error
+				if res, err = sched.Explore(sched.Concrete(m), opts); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(res.States), "states")
 			b.ReportMetric(float64(res.DedupHits), "dedup-hits")

@@ -43,7 +43,7 @@ func TestGalleryDetectedByExplorer(t *testing.T) {
 			continue
 		}
 		t.Run(a.ID, func(t *testing.T) {
-			res, err := sched.Explore(a.New(), 20, true)
+			res, err := sched.Explore(sched.Concrete(a.New()), sched.Options{Bound: 20, ForwardHazards: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestGalleryDetectedByExplorer(t *testing.T) {
 // aliasing-predictor attack needs the execute:fwd directive, which the
 // schedule generator never issues.
 func TestFig2OutsideToolSubset(t *testing.T) {
-	res, err := sched.Explore(Figure2().New(), 20, true)
+	res, err := sched.Explore(sched.Concrete(Figure2().New()), sched.Options{Bound: 20, ForwardHazards: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,22 +49,12 @@ type Row struct {
 	Notes string
 }
 
-// Options tune the Table 2 reproduction. Zero values use the paper's
-// §4.2.1 procedure bounds (250 without hazard detection, 20 with).
+// Options tune the Table 2 reproduction. The phase bounds are the
+// paper's §4.2.1 procedure bounds (250 without hazard detection, 20
+// with); MaxStates is each phase's state budget (0 = the engine
+// default).
 type Options struct {
-	BoundPhase1 int
-	BoundPhase2 int
-	MaxStates   int
-}
-
-func (o Options) withDefaults() Options {
-	if o.BoundPhase1 == 0 {
-		o.BoundPhase1 = pitchfork.BoundNoHazards
-	}
-	if o.BoundPhase2 == 0 {
-		o.BoundPhase2 = pitchfork.BoundWithHazards
-	}
-	return o
+	MaxStates int
 }
 
 // Analyze runs the paper's two-phase procedure on one build and folds
@@ -73,36 +63,23 @@ func (o Options) withDefaults() Options {
 // truncation or interruption, and anything short of that is
 // Inconclusive.
 func Analyze(c Case, mode ct.Mode, opts Options) (Finding, error) {
-	opts = opts.withDefaults()
 	comp, err := c.Build(mode)
 	if err != nil {
 		return Clean, err
 	}
 	mk := func() *core.Machine { return core.New(comp.Prog) }
-	p1, err := pitchfork.Analyze(mk(), pitchfork.Options{
-		Bound:       opts.BoundPhase1,
+	p1, p2, err := pitchfork.AnalyzeProcedure(mk, pitchfork.Options{
 		MaxStates:   opts.MaxStates,
 		StopAtFirst: true,
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		return Clean, err
-	}
-	if !p1.SecretFree() {
+	case !p1.SecretFree():
 		return Flagged, nil
-	}
-	p2, err := pitchfork.Analyze(mk(), pitchfork.Options{
-		Bound:          opts.BoundPhase2,
-		ForwardHazards: true,
-		MaxStates:      opts.MaxStates,
-		StopAtFirst:    true,
-	})
-	if err != nil {
-		return Clean, err
-	}
-	if !p2.SecretFree() {
+	case !p2.SecretFree():
 		return FlaggedFwd, nil
-	}
-	if p1.Truncated || p1.Interrupted || p2.Truncated || p2.Interrupted {
+	case p1.Truncated || p1.Interrupted || p2.Truncated || p2.Interrupted:
 		return Inconclusive, nil
 	}
 	return Clean, nil

@@ -3,9 +3,9 @@
 // and observation trace into every child, making fork cost grow with
 // path depth; the chains below share the common prefix structurally,
 // so extending a path is one node allocation and forking is free. The
-// slices the rest of the system consumes (Violation.Schedule,
-// Violation.Trace, the parallel merge keys) are materialized only when
-// a violation is recorded.
+// slices the rest of the system consumes (Violation.Schedule, which is
+// also the parallel merge key, and Violation.Trace) are materialized
+// only when a violation is recorded.
 package sched
 
 import (
@@ -77,9 +77,8 @@ func (n *traceNode) materialize() core.Trace {
 }
 
 // statePool recycles exploration nodes: a finished path's state is
-// returned here and its struct (plus its pendingFwd map, cleared) is
-// reused for the next fork, in both the serial and the work-stealing
-// drivers. The chains and machines a state pointed at are shared and
+// returned here and its struct is reused for the next fork, in both
+// the serial and the work-stealing drivers. The chains and machines a state pointed at are shared and
 // never pooled.
 var statePool = sync.Pool{New: func() any { return new(state) }}
 
@@ -88,14 +87,10 @@ func newState() *state {
 	return statePool.Get().(*state)
 }
 
-// releaseState returns a finished node to the pool. The pendingFwd
-// map is kept (cleared) for reuse; every reference the node held is
-// dropped so pooling never extends an object's lifetime.
+// releaseState returns a finished node to the pool. Every reference
+// the node held is dropped so pooling never extends an object's
+// lifetime.
 func releaseState(s *state) {
-	s.m = nil
-	s.sched = nil
-	s.trace = nil
-	s.secret = nil
-	clear(s.pendingFwd)
+	*s = state{}
 	statePool.Put(s)
 }

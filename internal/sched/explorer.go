@@ -30,7 +30,9 @@
 // a single directive (a symbolic branch condition splits into its
 // feasible worlds); the engine treats every fork point uniformly.
 //
-// The exploration runs on one goroutine by default; Options.Workers
+// Explore is the one entry point: it runs the strategy from a domain
+// machine (sched.Concrete wraps a core.Machine) under Options. The
+// exploration runs on one goroutine by default; Options.Workers
 // switches to a work-stealing pool (see parallel.go), and
 // Options.DedupEntries enables fingerprint-based pruning of
 // re-converged states — in either domain.
@@ -61,10 +63,6 @@ type Options struct {
 	MaxRetired int
 	// StopAtFirst stops the exploration at the first violation.
 	StopAtFirst bool
-	// KeepSchedules records the full directive schedule of each
-	// violation (memory-heavy for deep runs; on by default via
-	// Explore).
-	KeepSchedules bool
 	// Workers is the number of exploration goroutines. 0 and 1 run the
 	// classic serial depth-first exploration; n > 1 runs the
 	// work-stealing parallel explorer of parallel.go, whose violations
@@ -112,7 +110,7 @@ const (
 // observation reachable under a worst-case schedule.
 type Violation struct {
 	Obs      core.Observation
-	Schedule core.Schedule // schedule prefix that produced it (if kept)
+	Schedule core.Schedule // attacker directive schedule that produced it
 	Trace    core.Trace    // observation trace up to and including Obs
 	Kind     VariantKind   // heuristic Spectre-variant classification
 	PC       isa.Addr      // program point of the instruction that produced Obs
@@ -199,9 +197,14 @@ func specSources(m Machine) []Source {
 	return out
 }
 
-// String renders the violation compactly.
+// String renders the violation compactly, with the witness
+// assignment when the domain supplied one.
 func (v Violation) String() string {
-	return fmt.Sprintf("%s: %s at pc %d", v.Kind, v.Obs, v.PC)
+	s := fmt.Sprintf("%s: %s at pc %d", v.Kind, v.Obs, v.PC)
+	if len(v.Model) > 0 {
+		s += fmt.Sprintf(" (witness %v)", v.Model)
+	}
+	return s
 }
 
 // VariantKind classifies a violation by its microarchitectural cause.
@@ -263,34 +266,6 @@ type Result struct {
 // SecretFree reports whether no violation was found.
 func (r Result) SecretFree() bool { return len(r.Violations) == 0 }
 
-// Explorer walks the worst-case schedules of a machine. An Explorer is
-// immutable after construction: all per-exploration state lives in the
-// Explore call, so a single Explorer is safe for concurrent and
-// interleaved Explore calls.
-type Explorer struct {
-	opts Options
-}
-
-// NewExplorer validates options and returns an explorer.
-func NewExplorer(opts Options) (*Explorer, error) {
-	if opts.Bound < 1 {
-		return nil, fmt.Errorf("sched: speculation bound must be positive, got %d", opts.Bound)
-	}
-	if opts.Workers < 0 {
-		return nil, fmt.Errorf("sched: workers must be non-negative, got %d", opts.Workers)
-	}
-	if opts.DedupEntries < 0 {
-		return nil, fmt.Errorf("sched: dedup entries must be non-negative, got %d", opts.DedupEntries)
-	}
-	if opts.MaxStates == 0 {
-		opts.MaxStates = DefaultMaxStates
-	}
-	if opts.MaxRetired == 0 {
-		opts.MaxRetired = DefaultMaxRetired
-	}
-	return &Explorer{opts: opts}, nil
-}
-
 // state is one node of the exploration tree. The schedule and trace
 // are immutable parent-pointer chains (see chain.go): forks share the
 // prefix structurally instead of copying it, so cloning a state costs
@@ -308,56 +283,46 @@ type state struct {
 	// nil — maintained incrementally as observations append, replacing
 	// the full-trace FirstSecret scan per explored state.
 	secret *traceNode
-	// pendingFwd marks load indices whose forwarding fork has already
-	// been taken in this state (so re-deciding after a partial store
-	// resolution re-forks correctly but not infinitely). Lazily
-	// allocated: most states never fork on forwarding.
-	pendingFwd map[int]bool
 }
 
 func (s *state) clone() *state {
 	c := newState()
 	c.m = s.m.Clone()
 	c.sched, c.trace, c.secret = s.sched, s.trace, s.secret
-	if len(s.pendingFwd) > 0 {
-		if c.pendingFwd == nil {
-			c.pendingFwd = make(map[int]bool, len(s.pendingFwd))
-		}
-		for k, v := range s.pendingFwd {
-			c.pendingFwd[k] = v
-		}
-	}
 	return c
 }
 
-// markPendingFwd records that the load at buffer index i has taken its
-// forwarding fork, allocating the map on first use.
-func (s *state) markPendingFwd(i int) {
-	if s.pendingFwd == nil {
-		s.pendingFwd = make(map[int]bool, 2)
+// Explore runs the worst-case schedules of a domain machine under opts
+// (concrete callers pass Concrete(m)). The machine is cloned up front,
+// so the caller's copy is not mutated, and all per-run state lives in
+// the call, so concurrent Explore calls are independent. An error
+// means the options are invalid.
+func Explore(m Machine, opts Options) (Result, error) {
+	if opts.Bound < 1 {
+		return Result{}, fmt.Errorf("sched: speculation bound must be positive, got %d", opts.Bound)
 	}
-	s.pendingFwd[i] = true
-}
-
-// Explore runs the worst-case schedules from the concrete machine's
-// current configuration. The machine itself is not mutated.
-func (e *Explorer) Explore(m *core.Machine) Result {
-	return e.ExploreMachine(Concrete(m))
-}
-
-// ExploreMachine runs the worst-case schedules of any domain machine.
-// The machine is cloned up front, so the caller's copy is not mutated.
-func (e *Explorer) ExploreMachine(m Machine) Result {
+	if opts.Workers < 0 {
+		return Result{}, fmt.Errorf("sched: workers must be non-negative, got %d", opts.Workers)
+	}
+	if opts.DedupEntries < 0 {
+		return Result{}, fmt.Errorf("sched: dedup entries must be non-negative, got %d", opts.DedupEntries)
+	}
+	if opts.MaxStates == 0 {
+		opts.MaxStates = DefaultMaxStates
+	}
+	if opts.MaxRetired == 0 {
+		opts.MaxRetired = DefaultMaxRetired
+	}
 	var dedup *dedupTable
-	if e.opts.DedupEntries > 0 {
-		dedup = newDedupTable(e.opts.DedupEntries)
+	if opts.DedupEntries > 0 {
+		dedup = newDedupTable(opts.DedupEntries)
 	}
 	root := newState()
 	root.m = m.Clone()
-	if e.opts.Workers > 1 {
-		return exploreParallel(&e.opts, dedup, root)
+	if opts.Workers > 1 {
+		return exploreParallel(&opts, dedup, root), nil
 	}
-	return exploreSerial(&e.opts, dedup, root)
+	return exploreSerial(&opts, dedup, root), nil
 }
 
 // exploreSerial is the classic single-goroutine depth-first driver.
@@ -426,18 +391,15 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 	// materialized only now that a violation is actually recorded.
 	if st.secret != nil {
 		prefix := st.secret.materialize()
-		v := Violation{
-			Obs:     st.secret.o,
-			Trace:   prefix,
-			Kind:    classify(m, prefix, len(prefix)-1),
-			PC:      st.secret.pp,
-			Sources: specSources(m),
-			Model:   m.Witness(),
+		return true, false, &Violation{
+			Obs:      st.secret.o,
+			Schedule: st.sched.materialize(),
+			Trace:    prefix,
+			Kind:     classify(m, prefix, len(prefix)-1),
+			PC:       st.secret.pp,
+			Sources:  specSources(m),
+			Model:    m.Witness(),
 		}
-		if opts.KeepSchedules {
-			v.Schedule = st.sched.materialize()
-		}
-		return true, false, &v
 	}
 	in, fetchable := m.Instr()
 	if (m.BufLen() == 0 && !fetchable) || m.RetiredCount() >= opts.MaxRetired {
@@ -459,7 +421,7 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 			// violation on either guess (and nothing already buffered can
 			// leak), so one arm stands in for both.
 			if pruneFork(m, opts.Prune, m.PC()) {
-				if apply(opts, st, core.FetchGuess(true), emit) {
+				if apply(st, core.FetchGuess(true), emit) {
 					return false, false, nil
 				}
 				return true, false, nil
@@ -469,11 +431,11 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 			// directive checks are guess-independent), so the clone is
 			// made only once the first arm has succeeded.
 			b := st.clone()
-			if !apply(opts, st, core.FetchGuess(true), emit) {
+			if !apply(st, core.FetchGuess(true), emit) {
 				releaseState(b)
 				return true, false, nil
 			}
-			if !apply(opts, b, core.FetchGuess(false), emit) {
+			if !apply(b, core.FetchGuess(false), emit) {
 				releaseState(b)
 			}
 			return false, false, nil
@@ -481,7 +443,7 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 			// The tool follows the architecturally correct target
 			// (it does not model indirect-jump speculation, §4).
 			if target, ok := m.PeekJmpi(in); ok {
-				if apply(opts, st, core.FetchTarget(target), emit) {
+				if apply(st, core.FetchTarget(target), emit) {
 					return false, false, nil
 				}
 				return true, false, nil
@@ -492,19 +454,19 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 				// The tool does not model RSB underflow attacks;
 				// predict through the in-memory return address.
 				if target, ok := m.PeekRet(); ok {
-					if apply(opts, st, core.FetchTarget(target), emit) {
+					if apply(st, core.FetchTarget(target), emit) {
 						return false, false, nil
 					}
 					return true, false, nil
 				}
 				break // execute pending work first
 			}
-			if apply(opts, st, core.Fetch(), emit) {
+			if apply(st, core.Fetch(), emit) {
 				return false, false, nil
 			}
 			return true, false, nil
 		default:
-			if apply(opts, st, core.Fetch(), emit) {
+			if apply(st, core.Fetch(), emit) {
 				return false, false, nil
 			}
 			return true, false, nil
@@ -527,7 +489,7 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 		return true, false, nil
 	}
 	if t.Resolved {
-		if apply(opts, st, core.Retire(), emit) {
+		if apply(st, core.Retire(), emit) {
 			return false, false, nil
 		}
 		// A call/ret marker retires only with its whole expansion
@@ -537,14 +499,14 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 			if !ok || u.Resolved {
 				continue
 			}
-			if forceOne(opts, st, j, u, emit) {
+			if forceOne(st, j, u, emit) {
 				return false, false, nil
 			}
 			break
 		}
 		return true, false, nil
 	}
-	if forceOne(opts, st, i, t, emit) {
+	if forceOne(st, i, t, emit) {
 		return false, false, nil
 	}
 	return true, false, nil
@@ -554,15 +516,15 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 // instruction regardless of the deferral rules — used when nothing can
 // proceed otherwise (delayed branches at the head, deferred store
 // addresses blocking retirement, call/ret expansion members).
-func forceOne(opts *Options, st *state, i int, t TransientView, emit func(*state)) bool {
+func forceOne(st *state, i int, t TransientView, emit func(*state)) bool {
 	switch t.Kind {
 	case core.TBr, core.TJmpi, core.TLoad, core.TOp:
-		return apply(opts, st, core.Execute(i), emit)
+		return apply(st, core.Execute(i), emit)
 	case core.TStore:
 		if !t.ValKnown {
-			return apply(opts, st, core.ExecuteValue(i), emit)
+			return apply(st, core.ExecuteValue(i), emit)
 		}
-		return apply(opts, st, core.ExecuteAddr(i), emit)
+		return apply(st, core.ExecuteAddr(i), emit)
 	}
 	return false
 }
@@ -590,7 +552,7 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 		}
 		switch t.Kind {
 		case core.TOp:
-			if apply(opts, st, core.Execute(i), emit) {
+			if apply(st, core.Execute(i), emit) {
 				return true
 			}
 		case core.TJmpi:
@@ -600,7 +562,7 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 			// the speculative stale-return window of the Fig. 10 gadget
 			// — the transient return must happen *before* the pending
 			// store address resolves and flags the hazard.
-			if apply(opts, st, core.Execute(i), emit) {
+			if apply(st, core.Execute(i), emit) {
 				return true
 			}
 		case core.TBr:
@@ -610,13 +572,13 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 			continue // branches resolve in the second pass below
 		case core.TStore:
 			if !t.ValKnown {
-				if apply(opts, st, core.ExecuteValue(i), emit) {
+				if apply(st, core.ExecuteValue(i), emit) {
 					return true
 				}
 				continue
 			}
 			if !t.AddrKnown && !opts.ForwardHazards {
-				if apply(opts, st, core.ExecuteAddr(i), emit) {
+				if apply(st, core.ExecuteAddr(i), emit) {
 					return true
 				}
 			}
@@ -638,7 +600,7 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 		if !ok || t.Kind != core.TBr {
 			continue
 		}
-		if apply(opts, st, core.Execute(i), emit) {
+		if apply(st, core.Execute(i), emit) {
 			return true
 		}
 	}
@@ -654,7 +616,7 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 func loadFork(opts *Options, st *state, i int, emit func(*state)) bool {
 	m := st.m
 	var pending []int
-	if opts.ForwardHazards && !st.pendingFwd[i] {
+	if opts.ForwardHazards {
 		for j := m.BufMin(); j < i; j++ {
 			if s, ok := m.View(j); ok && s.Kind == core.TStore && !s.AddrKnown && s.ValKnown {
 				pending = append(pending, j)
@@ -662,19 +624,18 @@ func loadFork(opts *Options, st *state, i int, emit func(*state)) bool {
 		}
 	}
 	if len(pending) == 0 {
-		return apply(opts, st, core.Execute(i), emit)
+		return apply(st, core.Execute(i), emit)
 	}
 	// A statically fork-free load point can't produce a violation under
 	// any forwarding outcome (and nothing buffered can leak), so
 	// executing the load now stands in for the whole forwarding fork.
 	if t, ok := m.View(i); ok && pruneFork(m, opts.Prune, t.PP) {
-		return apply(opts, st, core.Execute(i), emit)
+		return apply(st, core.Execute(i), emit)
 	}
 	acted := false
 	// Arm 0: execute the load now, skipping the pending stores.
 	now := st.clone()
-	now.markPendingFwd(i)
-	if apply(opts, now, core.Execute(i), emit) {
+	if apply(now, core.Execute(i), emit) {
 		acted = true
 	} else {
 		releaseState(now)
@@ -684,7 +645,7 @@ func loadFork(opts *Options, st *state, i int, emit func(*state)) bool {
 	// remaining pending stores).
 	for _, j := range pending {
 		arm := st.clone()
-		if apply(opts, arm, core.ExecuteAddr(j), emit) {
+		if apply(arm, core.ExecuteAddr(j), emit) {
 			acted = true
 		} else {
 			releaseState(arm)
@@ -704,61 +665,29 @@ func loadFork(opts *Options, st *state, i int, emit func(*state)) bool {
 // steps mutate st in place and emit it; at a domain fork the chains
 // are shared structurally — each successor just pushes its own
 // arm-disambiguated directive onto the common prefix and is emitted in
-// arm order. A rollback invalidates the load-fork bookkeeping, since
-// buffer indices are reused by re-fetched instructions.
-//
-// The schedule chain is extended only when some consumer exists —
-// KeepSchedules (violation schedules) or a parallel run (whose
-// deterministic merge keys are schedule prefixes); a serial counting
-// exploration skips the per-step node entirely.
-func apply(opts *Options, st *state, d core.Directive, emit func(*state)) bool {
+// arm order. The schedule chain feeds both Violation.Schedule and the
+// parallel driver's deterministic merge.
+func apply(st *state, d core.Directive, emit func(*state)) bool {
 	pp := sourcePoint(st.m, d)
 	succs, err := st.m.Step(d)
 	if err != nil || len(succs) == 0 {
 		return false
 	}
-	recordSched := opts.KeepSchedules || opts.Workers > 1
-	// Pre-fork bookkeeping: every arm extends these chains (immutable,
-	// so sharing them with an already-emitted arm is safe). The
-	// pendingFwd map is mutable and stays owned by st — the first arm —
-	// which emit may hand to another worker immediately; snapshot it
-	// before any arm is published so later arms never read a map a
-	// thief might already be mutating.
+	// Every arm extends the same chains (immutable, so sharing them
+	// with an already-emitted arm is safe).
 	baseSched, baseTrace, baseSecret := st.sched, st.trace, st.secret
-	var basePF map[int]bool
-	if len(succs) > 1 && len(st.pendingFwd) > 0 {
-		basePF = make(map[int]bool, len(st.pendingFwd))
-		for idx, v := range st.pendingFwd {
-			basePF[idx] = v
-		}
-	}
 	for k, sc := range succs {
 		ns := st
 		if k > 0 {
 			ns = newState()
-			if len(basePF) > 0 {
-				if ns.pendingFwd == nil {
-					ns.pendingFwd = make(map[int]bool, len(basePF))
-				}
-				for idx, v := range basePF {
-					ns.pendingFwd[idx] = v
-				}
-			}
 		}
 		ns.m = sc.M
-		if recordSched {
-			ns.sched = baseSched.push(sc.D)
-		}
+		ns.sched = baseSched.push(sc.D)
 		ns.trace, ns.secret = baseTrace, baseSecret
 		for _, o := range sc.Obs {
 			ns.trace = ns.trace.push(o, pp)
 			if ns.secret == nil && o.Secret() {
 				ns.secret = ns.trace
-			}
-			if o.Kind == core.ORollback {
-				// Drop (never clear in place: later arms copy from the
-				// shared base map) the load-fork bookkeeping.
-				ns.pendingFwd = nil
 			}
 		}
 		emit(ns)
@@ -832,30 +761,4 @@ func classify(m Machine, trace core.Trace, at int) VariantKind {
 	default:
 		return VariantUnknown
 	}
-}
-
-// Explore is the package-level convenience entry point with schedule
-// recording enabled.
-func Explore(m *core.Machine, bound int, forwardHazards bool) (Result, error) {
-	e, err := NewExplorer(Options{Bound: bound, ForwardHazards: forwardHazards, KeepSchedules: true})
-	if err != nil {
-		return Result{}, err
-	}
-	return e.Explore(m), nil
-}
-
-// CountSchedules runs an exploration purely to count completed paths —
-// the |DT(n)| growth measurement behind the paper's bound-20-vs-250
-// tractability discussion.
-func CountSchedules(m *core.Machine, bound int, forwardHazards bool, maxStates int) (paths, states int, truncated bool, err error) {
-	e, err := NewExplorer(Options{
-		Bound:          bound,
-		ForwardHazards: forwardHazards,
-		MaxStates:      maxStates,
-	})
-	if err != nil {
-		return 0, 0, false, err
-	}
-	res := e.Explore(m)
-	return res.Paths, res.States, res.Truncated, nil
 }

@@ -85,7 +85,7 @@ func findVariant(res Result, k VariantKind) bool {
 }
 
 func TestExplorerFindsSpectreV1(t *testing.T) {
-	res, err := Explore(v1Gadget(9), 20, false)
+	res, err := Explore(Concrete(v1Gadget(9)), Options{Bound: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestExplorerInBoundsIndexStillLeaks(t *testing.T) {
 	// the in-bounds load chain reads public data only. The mispredicted
 	// arm for ra=1 is the *true* arm, which is also the correct arm, so
 	// no speculation window opens on secrets.
-	res, err := Explore(v1Gadget(1), 20, false)
+	res, err := Explore(Concrete(v1Gadget(1)), Options{Bound: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestExplorerInBoundsIndexStillLeaks(t *testing.T) {
 
 func TestExplorerFindsSpectreV11(t *testing.T) {
 	for _, fwd := range []bool{false, true} {
-		res, err := Explore(v11Gadget(), 20, fwd)
+		res, err := Explore(Concrete(v11Gadget()), Options{Bound: 20, ForwardHazards: fwd})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,14 +142,14 @@ func TestExplorerFindsSpectreV11(t *testing.T) {
 func TestExplorerFindsSpectreV4OnlyWithHazards(t *testing.T) {
 	// Without forwarding-hazard detection the v4 window is not
 	// explored — matching the paper's two-phase procedure (§4.2.1).
-	res, err := Explore(v4Gadget(), 20, false)
+	res, err := Explore(Concrete(v4Gadget()), Options{Bound: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.SecretFree() {
 		t.Fatalf("v4 gadget must be clean without hazard detection, got %v", res.Violations)
 	}
-	res, err = Explore(v4Gadget(), 20, true)
+	res, err = Explore(Concrete(v4Gadget()), Options{Bound: 20, ForwardHazards: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestExplorerFindsSpectreV4OnlyWithHazards(t *testing.T) {
 func TestExplorerFenceMitigation(t *testing.T) {
 	// Figure 8: the fence closes the v1 window entirely.
 	for _, fwd := range []bool{false, true} {
-		res, err := Explore(fencedV1Gadget(), 20, fwd)
+		res, err := Explore(Concrete(fencedV1Gadget()), Options{Bound: 20, ForwardHazards: fwd})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestExplorerSequentialViolation(t *testing.T) {
 	b.Region(0x44, mem.Pub(5), mem.Pub(6), mem.Pub(7), mem.Pub(8))
 	b.Data(0x48, mem.Sec(2))
 	m := core.New(b.MustBuild())
-	res, err := Explore(m, 4, false)
+	res, err := Explore(Concrete(m), Options{Bound: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestExplorerSequentialViolation(t *testing.T) {
 func TestExplorerBoundLimitsSpeculation(t *testing.T) {
 	// With bound 1 the buffer holds a single instruction: the branch
 	// must resolve before the loads enter, so Figure 1 cannot leak.
-	res, err := Explore(v1Gadget(9), 1, false)
+	res, err := Explore(Concrete(v1Gadget(9)), Options{Bound: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestExplorerBoundLimitsSpeculation(t *testing.T) {
 	}
 	// Bound 2 admits the first load but not the second; still no
 	// secret-labeled observation (the first read's address is public).
-	res, err = Explore(v1Gadget(9), 2, false)
+	res, err = Explore(Concrete(v1Gadget(9)), Options{Bound: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestExplorerBoundLimitsSpeculation(t *testing.T) {
 		t.Fatalf("bound 2 must still be clean, got %v", res.Violations)
 	}
 	// Bound 3 fits branch + both loads: the leak appears.
-	res, err = Explore(v1Gadget(9), 3, false)
+	res, err = Explore(Concrete(v1Gadget(9)), Options{Bound: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,52 +222,35 @@ func TestExplorerBoundLimitsSpeculation(t *testing.T) {
 }
 
 func TestCountSchedulesGrowsWithBound(t *testing.T) {
-	p10, _, _, err := CountSchedules(v1Gadget(9), 2, false, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p20, _, _, err := CountSchedules(v11Gadget(), 20, true, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p10 := mustExplore(t, v1Gadget(9), Options{Bound: 2, MaxStates: 100000}).Paths
+	p20 := mustExplore(t, v11Gadget(), Options{Bound: 20, ForwardHazards: true, MaxStates: 100000}).Paths
 	if p10 < 1 || p20 < 1 {
 		t.Fatalf("path counts must be positive: %d, %d", p10, p20)
 	}
 	// Forward-hazard exploration of the v1.1 gadget must fork more
 	// paths than the non-hazard exploration.
-	pNoFwd, _, _, err := CountSchedules(v11Gadget(), 20, false, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pNoFwd := mustExplore(t, v11Gadget(), Options{Bound: 20, MaxStates: 100000}).Paths
 	if p20 <= pNoFwd {
 		t.Fatalf("hazard mode must explore more paths: %d vs %d", p20, pNoFwd)
 	}
 }
 
 func TestExplorerStopAtFirst(t *testing.T) {
-	e, err := NewExplorer(Options{Bound: 20, StopAtFirst: true, KeepSchedules: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.Explore(v1Gadget(9))
+	res := mustExplore(t, v1Gadget(9), Options{Bound: 20, StopAtFirst: true})
 	if len(res.Violations) != 1 {
 		t.Fatalf("StopAtFirst must record exactly one violation, got %d", len(res.Violations))
 	}
 }
 
 func TestExplorerBudgetTruncation(t *testing.T) {
-	e, err := NewExplorer(Options{Bound: 20, ForwardHazards: true, MaxStates: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.Explore(v11Gadget())
+	res := mustExplore(t, v11Gadget(), Options{Bound: 20, ForwardHazards: true, MaxStates: 5})
 	if !res.Truncated {
 		t.Fatal("tiny budget must truncate")
 	}
 }
 
-func TestNewExplorerRejectsBadBound(t *testing.T) {
-	if _, err := NewExplorer(Options{Bound: 0}); err == nil {
+func TestExploreRejectsBadBound(t *testing.T) {
+	if _, err := Explore(Concrete(v1Gadget(9)), Options{Bound: 0}); err == nil {
 		t.Fatal("bound 0 must be rejected")
 	}
 }
@@ -275,7 +258,7 @@ func TestNewExplorerRejectsBadBound(t *testing.T) {
 func TestExplorerDoesNotMutateInput(t *testing.T) {
 	m := v1Gadget(9)
 	before := m.Clone()
-	if _, err := Explore(m, 10, true); err != nil {
+	if _, err := Explore(Concrete(m), Options{Bound: 10, ForwardHazards: true}); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Equal(before) || m.PC != before.PC {
@@ -311,7 +294,7 @@ func TestExplorerHandlesCalls(t *testing.T) {
 	m := core.New(p)
 	m.Regs.Write(mem.RSP, mem.Pub(0x7F))
 
-	res, err := Explore(m, 8, true)
+	res, err := Explore(Concrete(m), Options{Bound: 8, ForwardHazards: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,18 +308,13 @@ func TestExplorerHandlesCalls(t *testing.T) {
 
 func TestExplorerOnViolationStreamsAndStops(t *testing.T) {
 	var streamed []Violation
-	e, err := NewExplorer(Options{
-		Bound:         20,
-		KeepSchedules: true,
+	res := mustExplore(t, v1Gadget(9), Options{
+		Bound: 20,
 		OnViolation: func(v Violation) bool {
 			streamed = append(streamed, v)
 			return false // stop after the first
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.Explore(v1Gadget(9))
 	if len(streamed) != 1 {
 		t.Fatalf("callback must fire exactly once, got %d", len(streamed))
 	}
@@ -352,11 +330,7 @@ func TestExplorerOnViolationStreamsAndStops(t *testing.T) {
 }
 
 func TestExplorerInterruptAborts(t *testing.T) {
-	e, err := NewExplorer(Options{Bound: 20, Interrupt: func() bool { return true }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.Explore(v1Gadget(9))
+	res := mustExplore(t, v1Gadget(9), Options{Bound: 20, Interrupt: func() bool { return true }})
 	if !res.Interrupted {
 		t.Fatal("interrupt must mark the result interrupted")
 	}
@@ -367,7 +341,7 @@ func TestExplorerInterruptAborts(t *testing.T) {
 
 func TestViolationSpeculationSources(t *testing.T) {
 	// Figure 1: the leak's guard is the unresolved bounds check at 1.
-	res, err := Explore(v1Gadget(9), 20, false)
+	res, err := Explore(Concrete(v1Gadget(9)), Options{Bound: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +361,7 @@ func TestViolationSpeculationSources(t *testing.T) {
 	}
 
 	// Figure 7: the guard is the store at 1 with its address pending.
-	res, err = Explore(v4Gadget(), 20, true)
+	res, err = Explore(Concrete(v4Gadget()), Options{Bound: 20, ForwardHazards: true})
 	if err != nil {
 		t.Fatal(err)
 	}

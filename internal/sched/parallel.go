@@ -1,16 +1,16 @@
 // Work-stealing parallel exploration. The worst-case schedule tree is
 // embarrassingly parallel below its fork points — subtrees share no
-// mutable state — so the driver seeds a frontier breadth-first from the
-// root, hands it to per-worker LIFO deques, and lets idle workers steal
-// the oldest (largest-subtree) states from their peers. Global budgets
-// (MaxStates, StopAtFirst, Interrupt) are enforced with atomics, and
-// violations are merged in schedule order so reports stay deterministic
-// regardless of which worker found what first.
+// mutable state — so the driver puts the root on worker 0's LIFO deque
+// and lets idle workers steal the oldest (largest-subtree) states from
+// their peers. Global budgets (MaxStates, StopAtFirst, Interrupt) are
+// enforced with atomics, and violations are merged in schedule order
+// so reports stay deterministic regardless of which worker found what
+// first.
 package sched
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,24 +100,6 @@ func (d *workerDeque) steal() *state {
 	return s
 }
 
-// keyedViolation pairs a violation with its path's schedule prefix, the
-// deterministic merge key. The key is kept separately from
-// Violation.Schedule so ordering works even when KeepSchedules is off.
-type keyedViolation struct {
-	key core.Schedule
-	v   Violation
-}
-
-// scheduleKey materializes the merge key for a violation recorded at
-// st: the violation's own schedule when KeepSchedules already paid for
-// it, otherwise the state's schedule chain rendered flat.
-func scheduleKey(st *state, v *Violation) core.Schedule {
-	if v.Schedule != nil {
-		return v.Schedule
-	}
-	return st.sched.materialize()
-}
-
 // compareDirectives orders directives by kind, then by their operand
 // fields — an arbitrary but total and stable order.
 func compareDirectives(a, b core.Directive) int {
@@ -160,94 +142,19 @@ func compareSchedules(a, b core.Schedule) int {
 	return len(a) - len(b)
 }
 
-// assemble sorts the collected violations into schedule order and
-// finalizes the result. Under StopAtFirst several workers may have
-// recorded a violation before the stop flag propagated; the
-// schedule-least one is kept so the report matches the option's
-// contract.
-func assemble(res Result, collected []keyedViolation, opts *Options) Result {
-	sort.SliceStable(collected, func(i, j int) bool {
-		return compareSchedules(collected[i].key, collected[j].key) < 0
-	})
-	if opts.StopAtFirst && len(collected) > 1 {
-		collected = collected[:1]
-	}
-	for _, kv := range collected {
-		res.Violations = append(res.Violations, kv.v)
-	}
-	return res
-}
-
-// exploreParallel drives the work-stealing pool. The seed phase runs
-// breadth-first on the calling goroutine until the frontier is wide
-// enough to feed every worker (or the exploration finishes first);
-// the parallel phase distributes the frontier round-robin and lets the
-// workers run until the tree, a budget, or a stop condition is
-// exhausted.
+// exploreParallel drives the work-stealing pool: the root starts on
+// worker 0's deque, the other workers steal from it, and every worker
+// runs until the tree, a budget, or a stop condition is exhausted.
 func exploreParallel(opts *Options, dedup *dedupTable, root *state) Result {
 	workers := opts.Workers
-	res := Result{Workers: workers}
-	var collected []keyedViolation
-	stopped := false
-
-	// ---- Seed phase -------------------------------------------------
-	// Breadth-first until there is one state per worker — or, for
-	// narrow trees that fork late, until the seed budget runs out:
-	// work-stealing spreads the load once the pool is running, so a
-	// partial frontier is enough to start.
-	const seedStatesCap = 1024
-	frontier := []*state{root}
-	seedEmit := func(s *state) { frontier = append(frontier, s) }
-	for len(frontier) > 0 && len(frontier) < workers && res.States < seedStatesCap {
-		if res.States >= opts.MaxStates {
-			res.Truncated = true
-			return assemble(res, collected, opts)
-		}
-		if opts.Interrupt != nil && opts.Interrupt() {
-			res.Interrupted = true
-			return assemble(res, collected, opts)
-		}
-		st := frontier[0]
-		frontier = frontier[1:]
-		res.States++
-
-		done, deduped, viol := advance(opts, dedup, st, seedEmit)
-		if viol != nil {
-			collected = append(collected, keyedViolation{key: scheduleKey(st, viol), v: *viol})
-			if opts.OnViolation != nil && !opts.OnViolation(*viol) {
-				stopped = true
-			}
-		}
-		if deduped {
-			res.DedupHits++
-		}
-		if done {
-			res.Paths++
-			releaseState(st)
-			if stopped {
-				res.Interrupted = true
-				return assemble(res, collected, opts)
-			}
-			if opts.StopAtFirst && len(collected) > 0 {
-				return assemble(res, collected, opts)
-			}
-		}
-	}
-	if len(frontier) == 0 {
-		return assemble(res, collected, opts)
-	}
-
-	// ---- Parallel phase ---------------------------------------------
 	deques := make([]*workerDeque, workers)
 	for i := range deques {
 		deques[i] = &workerDeque{}
 	}
-	for i, st := range frontier {
-		deques[i%workers].items = append(deques[i%workers].items, st)
-	}
+	deques[0].items = append(deques[0].items, root)
 
 	var (
-		statesN     atomic.Int64 // states explored, seed phase included
+		statesN     atomic.Int64
 		pathsN      atomic.Int64
 		dedupN      atomic.Int64
 		pending     atomic.Int64 // states queued or mid-processing
@@ -256,11 +163,9 @@ func exploreParallel(opts *Options, dedup *dedupTable, root *state) Result {
 		interrupted atomic.Bool
 		violMu      sync.Mutex // serializes the OnViolation callback
 	)
-	statesN.Store(int64(res.States))
-	pending.Store(int64(len(frontier)))
+	pending.Store(1)
 	maxStates := int64(opts.MaxStates)
-	workerViols := make([][]keyedViolation, workers)
-
+	workerViols := make([][]Violation, workers)
 	var wg sync.WaitGroup
 	for id := 0; id < workers; id++ {
 		wg.Add(1)
@@ -316,10 +221,9 @@ func exploreParallel(opts *Options, dedup *dedupTable, root *state) Result {
 					// contains a finding the OnViolation stream did not
 					// deliver, and StopAtFirst fires the callback for
 					// exactly the one finding that survives.
-					key := scheduleKey(st, viol)
 					violMu.Lock()
 					if !stop.Load() {
-						workerViols[id] = append(workerViols[id], keyedViolation{key: key, v: *viol})
+						workerViols[id] = append(workerViols[id], *viol)
 						if opts.OnViolation != nil && !opts.OnViolation(*viol) {
 							interrupted.Store(true)
 							stop.Store(true)
@@ -343,13 +247,23 @@ func exploreParallel(opts *Options, dedup *dedupTable, root *state) Result {
 	}
 	wg.Wait()
 
-	res.States = int(statesN.Load())
-	res.Paths += int(pathsN.Load())
-	res.DedupHits += int(dedupN.Load())
-	res.Truncated = res.Truncated || truncated.Load()
-	res.Interrupted = res.Interrupted || interrupted.Load()
+	// Violations are merged in schedule order, so the report does not
+	// depend on which worker found what first. Under StopAtFirst the
+	// stop decision above admits exactly one.
+	var viols []Violation
 	for _, vs := range workerViols {
-		collected = append(collected, vs...)
+		viols = append(viols, vs...)
 	}
-	return assemble(res, collected, opts)
+	slices.SortStableFunc(viols, func(a, b Violation) int {
+		return compareSchedules(a.Schedule, b.Schedule)
+	})
+	return Result{
+		Violations:  viols,
+		States:      int(statesN.Load()),
+		Paths:       int(pathsN.Load()),
+		DedupHits:   int(dedupN.Load()),
+		Truncated:   truncated.Load(),
+		Interrupted: interrupted.Load(),
+		Workers:     workers,
+	}
 }

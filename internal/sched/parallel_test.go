@@ -31,13 +31,15 @@ func sortedSignatures(res Result, withSchedule bool) []string {
 	return out
 }
 
-func mustExplorer(t *testing.T, opts Options) *Explorer {
+// mustExplore explores a concrete machine, failing the test on an
+// options error.
+func mustExplore(t *testing.T, m *core.Machine, opts Options) Result {
 	t.Helper()
-	e, err := NewExplorer(opts)
+	res, err := Explore(Concrete(m), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return res
 }
 
 func TestParallelMatchesSerial(t *testing.T) {
@@ -48,8 +50,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	for name, mk := range gadgets {
 		for _, fwd := range []bool{false, true} {
-			serial := mustExplorer(t, Options{Bound: 20, ForwardHazards: fwd, KeepSchedules: true}).Explore(mk())
-			par := mustExplorer(t, Options{Bound: 20, ForwardHazards: fwd, KeepSchedules: true, Workers: 4}).Explore(mk())
+			serial := mustExplore(t, mk(), Options{Bound: 20, ForwardHazards: fwd})
+			par := mustExplore(t, mk(), Options{Bound: 20, ForwardHazards: fwd, Workers: 4})
 			if par.Workers != 4 || serial.Workers != 1 {
 				t.Fatalf("%s/fwd=%t: workers not recorded: %d/%d", name, fwd, serial.Workers, par.Workers)
 			}
@@ -91,8 +93,8 @@ func cascadeGadget(n int) *core.Machine {
 }
 
 func TestParallelMatchesSerialOnWideTree(t *testing.T) {
-	serial := mustExplorer(t, Options{Bound: 20, KeepSchedules: true, MaxStates: 1_000_000}).Explore(cascadeGadget(10))
-	par := mustExplorer(t, Options{Bound: 20, KeepSchedules: true, MaxStates: 1_000_000, Workers: 8}).Explore(cascadeGadget(10))
+	serial := mustExplore(t, cascadeGadget(10), Options{Bound: 20, MaxStates: 1_000_000})
+	par := mustExplore(t, cascadeGadget(10), Options{Bound: 20, MaxStates: 1_000_000, Workers: 8})
 	if serial.Paths < 1000 {
 		t.Fatalf("cascade too small to stress the pool: %d paths", serial.Paths)
 	}
@@ -115,7 +117,7 @@ func TestParallelDeterministicOrder(t *testing.T) {
 	// Two parallel runs must report violations in the same order even
 	// though workers race for subtrees.
 	run := func() []string {
-		res := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, KeepSchedules: true, Workers: 8}).Explore(v11Gadget())
+		res := mustExplore(t, v11Gadget(), Options{Bound: 20, ForwardHazards: true, Workers: 8})
 		out := make([]string, len(res.Violations))
 		for i, v := range res.Violations {
 			out[i] = violationKey(v) + "|" + v.Schedule.String()
@@ -140,14 +142,14 @@ func TestParallelDeterministicOrder(t *testing.T) {
 }
 
 func TestParallelStopAtFirst(t *testing.T) {
-	res := mustExplorer(t, Options{Bound: 20, StopAtFirst: true, Workers: 4}).Explore(v1Gadget(9))
+	res := mustExplore(t, v1Gadget(9), Options{Bound: 20, StopAtFirst: true, Workers: 4})
 	if len(res.Violations) != 1 {
 		t.Fatalf("StopAtFirst must report exactly one violation, got %d", len(res.Violations))
 	}
 }
 
 func TestParallelTruncation(t *testing.T) {
-	res := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, MaxStates: 5, Workers: 4}).Explore(v11Gadget())
+	res := mustExplore(t, v11Gadget(), Options{Bound: 20, ForwardHazards: true, MaxStates: 5, Workers: 4})
 	if !res.Truncated {
 		t.Fatal("tiny budget must truncate")
 	}
@@ -157,8 +159,7 @@ func TestParallelTruncation(t *testing.T) {
 }
 
 func TestParallelInterrupt(t *testing.T) {
-	e := mustExplorer(t, Options{Bound: 20, Workers: 4, Interrupt: func() bool { return true }})
-	res := e.Explore(v1Gadget(9))
+	res := mustExplore(t, v1Gadget(9), Options{Bound: 20, Workers: 4, Interrupt: func() bool { return true }})
 	if !res.Interrupted {
 		t.Fatal("interrupt must mark the result interrupted")
 	}
@@ -170,8 +171,8 @@ func TestParallelInterrupt(t *testing.T) {
 func TestParallelOnViolationStops(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
-	e := mustExplorer(t, Options{
-		Bound: 20, Workers: 4, KeepSchedules: true,
+	res := mustExplore(t, v1Gadget(9), Options{
+		Bound: 20, Workers: 4,
 		OnViolation: func(Violation) bool {
 			mu.Lock()
 			calls++
@@ -179,7 +180,6 @@ func TestParallelOnViolationStops(t *testing.T) {
 			return false
 		},
 	})
-	res := e.Explore(v1Gadget(9))
 	if !res.Interrupted {
 		t.Fatal("stopping callback must mark the result interrupted")
 	}
@@ -190,20 +190,21 @@ func TestParallelOnViolationStops(t *testing.T) {
 	}
 }
 
-// TestExplorerSharedAcrossGoroutines exercises one Explorer from many
-// goroutines concurrently — the reuse the type documents — so the race
-// detector can certify there is no per-instance mutable state left.
+// TestExplorerSharedAcrossGoroutines runs Explore with one Options
+// value from many goroutines concurrently — the independence Explore
+// documents — so the race detector can certify that no per-run state
+// leaks between calls.
 func TestExplorerSharedAcrossGoroutines(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		e := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, KeepSchedules: true, Workers: workers})
+		opts := Options{Bound: 20, ForwardHazards: true, Workers: workers}
 		var wg sync.WaitGroup
 		errs := make(chan string, 8)
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res := e.Explore(v1Gadget(9))
-				if res.SecretFree() {
+				res, err := Explore(Concrete(v1Gadget(9)), opts)
+				if err != nil || res.SecretFree() {
 					errs <- "shared explorer missed the v1 leak"
 				}
 			}()
@@ -222,8 +223,8 @@ func TestExplorerSharedAcrossGoroutines(t *testing.T) {
 // pruned, shrinking the explored state count without losing any
 // violation signature.
 func TestDedupPrunesReconvergedStates(t *testing.T) {
-	full := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, KeepSchedules: true}).Explore(v11Gadget())
-	dedup := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, KeepSchedules: true, DedupEntries: 1 << 16}).Explore(v11Gadget())
+	full := mustExplore(t, v11Gadget(), Options{Bound: 20, ForwardHazards: true})
+	dedup := mustExplore(t, v11Gadget(), Options{Bound: 20, ForwardHazards: true, DedupEntries: 1 << 16})
 	if dedup.DedupHits == 0 {
 		t.Fatal("forwarding forks must reconverge and hit the dedup table")
 	}
@@ -252,8 +253,8 @@ func TestDedupPrunesReconvergedStates(t *testing.T) {
 // with dedup — where the pruning decisions race — still finds the same
 // violation signatures as the serial dedup run.
 func TestDedupParallelAgreesOnSignatures(t *testing.T) {
-	serial := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, DedupEntries: 1 << 16}).Explore(v11Gadget())
-	par := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, DedupEntries: 1 << 16, Workers: 4}).Explore(v11Gadget())
+	serial := mustExplore(t, v11Gadget(), Options{Bound: 20, ForwardHazards: true, DedupEntries: 1 << 16})
+	par := mustExplore(t, v11Gadget(), Options{Bound: 20, ForwardHazards: true, DedupEntries: 1 << 16, Workers: 4})
 	ss, ps := sortedSignatures(serial, false), sortedSignatures(par, false)
 	dedupStrings := func(in []string) []string {
 		var out []string
@@ -275,11 +276,11 @@ func TestDedupParallelAgreesOnSignatures(t *testing.T) {
 	}
 }
 
-func TestNewExplorerRejectsBadParallelOptions(t *testing.T) {
-	if _, err := NewExplorer(Options{Bound: 20, Workers: -1}); err == nil {
+func TestExploreRejectsBadParallelOptions(t *testing.T) {
+	if _, err := Explore(Concrete(v1Gadget(9)), Options{Bound: 20, Workers: -1}); err == nil {
 		t.Fatal("negative workers must be rejected")
 	}
-	if _, err := NewExplorer(Options{Bound: 20, DedupEntries: -1}); err == nil {
+	if _, err := Explore(Concrete(v1Gadget(9)), Options{Bound: 20, DedupEntries: -1}); err == nil {
 		t.Fatal("negative dedup entries must be rejected")
 	}
 }
@@ -288,7 +289,7 @@ func TestNewExplorerRejectsBadParallelOptions(t *testing.T) {
 // fix: the Figure 1 leak is the load at program point 3, not the fetch
 // head (4) at detection time.
 func TestViolationPCPointsAtLeakingInstruction(t *testing.T) {
-	res, err := Explore(v1Gadget(9), 20, false)
+	res, err := Explore(Concrete(v1Gadget(9)), Options{Bound: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

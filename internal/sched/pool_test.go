@@ -13,9 +13,9 @@ import (
 // against the pool's concurrent Get/Put too).
 func TestPooledNodesPreserveDeterminism(t *testing.T) {
 	mk := func() Options {
-		return Options{Bound: 20, ForwardHazards: true, KeepSchedules: true, MaxStates: 1_000_000}
+		return Options{Bound: 20, ForwardHazards: true, MaxStates: 1_000_000}
 	}
-	reference := mustExplorer(t, mk()).Explore(cascadeGadget(6))
+	reference := mustExplore(t, cascadeGadget(6), mk())
 	refSigs := sortedSignatures(reference, true)
 
 	// Sequential churn: every exploration drains and refills the pool.
@@ -24,7 +24,7 @@ func TestPooledNodesPreserveDeterminism(t *testing.T) {
 		if round%2 == 1 {
 			opts.Workers = 4
 		}
-		res := mustExplorer(t, opts).Explore(cascadeGadget(6))
+		res := mustExplore(t, cascadeGadget(6), opts)
 		if res.States != reference.States || res.Paths != reference.Paths {
 			t.Fatalf("round %d: %d states / %d paths, want %d / %d",
 				round, res.States, res.Paths, reference.States, reference.Paths)
@@ -52,7 +52,7 @@ func TestPooledNodesPreserveDeterminism(t *testing.T) {
 			if g%2 == 1 {
 				opts.Workers = 2
 			}
-			res := mustExplorer(t, opts).Explore(cascadeGadget(6))
+			res := mustExplore(t, cascadeGadget(6), opts)
 			if res.States != reference.States || res.Paths != reference.Paths {
 				errs <- "state/path counts drifted under concurrent pool reuse"
 				return

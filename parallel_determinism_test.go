@@ -35,24 +35,16 @@ func TestParallelMatchesSerialOnKocherSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			se, err := sched.NewExplorer(sched.Options{Bound: 20, ForwardHazards: c.NeedsFwdHazards, KeepSchedules: true})
+			serial, err := sched.Explore(sched.Concrete(m), sched.Options{Bound: 20, ForwardHazards: c.NeedsFwdHazards})
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial := se.Explore(m)
-
-			m2, err := c.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			pe, err := sched.NewExplorer(sched.Options{
-				Bound: 20, ForwardHazards: c.NeedsFwdHazards,
-				KeepSchedules: true, Workers: workers,
+			par, err := sched.Explore(sched.Concrete(m), sched.Options{
+				Bound: 20, ForwardHazards: c.NeedsFwdHazards, Workers: workers,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par := pe.Explore(m2)
 
 			if serial.States != par.States || serial.Paths != par.Paths {
 				t.Fatalf("serial %d states / %d paths, parallel %d states / %d paths",

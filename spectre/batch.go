@@ -33,17 +33,28 @@ type BatchResult struct {
 // the context error with a nil report) and interrupts running ones
 // (partial report plus the context error), mirroring Run.
 func (a *Analyzer) AnalyzeBatch(ctx context.Context, items []BatchItem) []BatchResult {
+	reports, errs := fanOut(ctx, items, a.cfg.Workers, func(ctx context.Context, p *Program) (*Report, error) {
+		return a.runWith(ctx, p, a.cfg.Bound, a.cfg.ForwardHazards, nil, 1)
+	})
+	out := make([]BatchResult, len(items))
+	for i, it := range items {
+		out[i] = BatchResult{Name: it.Name, Report: reports[i], Err: errs[i]}
+	}
+	return out
+}
+
+// fanOut runs do on every item's program across up to workers
+// goroutines and returns the per-item results and errors in input
+// order. A nil program fails with an error naming the item. Once ctx
+// is done, items not yet started fail with ctx's error; running ones
+// see the cancellation through the ctx do receives.
+func fanOut[R any](ctx context.Context, items []BatchItem, workers int, do func(context.Context, *Program) (R, error)) ([]R, []error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make([]BatchResult, len(items))
-	for i, it := range items {
-		out[i].Name = it.Name
-	}
-	workers := a.cfg.Workers
-	if workers > len(items) {
-		workers = len(items)
-	}
+	results := make([]R, len(items))
+	errs := make([]error, len(items))
+	workers = min(workers, len(items))
 	if workers < 1 {
 		workers = 1
 	}
@@ -54,19 +65,18 @@ func (a *Analyzer) AnalyzeBatch(ctx context.Context, items []BatchItem) []BatchR
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				it := items[i]
-				if it.Program == nil {
-					out[i].Err = fmt.Errorf("spectre: batch item %d (%q): nil program", i, it.Name)
+				if items[i].Program == nil {
+					errs[i] = fmt.Errorf("spectre: batch item %d (%q): nil program", i, items[i].Name)
 					continue
 				}
-				out[i].Report, out[i].Err = a.runWith(ctx, it.Program, a.cfg.Bound, a.cfg.ForwardHazards, nil, 1)
+				results[i], errs[i] = do(ctx, items[i].Program)
 			}
 		}()
 	}
 	for i := range items {
 		if err := ctx.Err(); err != nil {
 			for j := i; j < len(items); j++ {
-				out[j].Err = err
+				errs[j] = err
 			}
 			break
 		}
@@ -74,7 +84,7 @@ func (a *Analyzer) AnalyzeBatch(ctx context.Context, items []BatchItem) []BatchR
 	}
 	close(next)
 	wg.Wait()
-	return out
+	return results, errs
 }
 
 // RunAll is AnalyzeBatch over bare programs: it analyzes every program

@@ -11,8 +11,8 @@ import (
 
 // TestAnalyzerSharedAcrossGoroutines runs one Analyzer from many
 // goroutines at once — the reuse safety the type documents — so the
-// race detector can certify it (satellite of the Explorer.stopped
-// bugfix: stopping one exploration must not bleed into another).
+// race detector can certify it (stopping one exploration must not
+// bleed into another).
 func TestAnalyzerSharedAcrossGoroutines(t *testing.T) {
 	an := mustNew(t, spectre.WithBound(20), spectre.WithWorkers(4))
 	var wg sync.WaitGroup

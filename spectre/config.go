@@ -29,8 +29,9 @@ type Config struct {
 	// ForwardHazards enables exploration of store-forwarding outcomes
 	// (Spectre v4 and the paper's "f" findings).
 	ForwardHazards bool `json:"forwardHazards"`
-	// MaxStates bounds the number of explored machine states; 0 is the
-	// exploration default (unlimited).
+	// MaxStates bounds the number of explored machine states per
+	// exploration; 0 is the exploration default of 200,000 states. A
+	// run that exhausts it is reported Truncated (inconclusive).
 	MaxStates int `json:"maxStates"`
 	// MaxRetired bounds retired instructions per exploration path; 0 is
 	// the exploration default.

@@ -49,8 +49,10 @@ func WithForwardHazards(on bool) Option {
 	}
 }
 
-// WithMaxStates bounds the number of explored machine states. Zero
-// restores the exploration default; negative is rejected.
+// WithMaxStates bounds the number of explored machine states per
+// exploration. Zero restores the exploration default of 200,000
+// states; negative is rejected. A run that exhausts the budget is
+// reported Truncated.
 func WithMaxStates(n int) Option {
 	return func(c *Config) error {
 		if n < 0 {

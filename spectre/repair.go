@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"pitchfork/internal/core"
 	"pitchfork/internal/isa"
@@ -374,47 +373,13 @@ type RepairBatchResult struct {
 // exploration). Results are returned in input order. Cancelling the
 // context stops new items from starting and aborts running ones.
 func (a *Analyzer) RepairAll(ctx context.Context, items []BatchItem) []RepairBatchResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	results, errs := fanOut(ctx, items, a.cfg.Workers, func(ctx context.Context, p *Program) (*RepairResult, error) {
+		return a.repairWith(ctx, p, 1)
+	})
 	out := make([]RepairBatchResult, len(items))
 	for i, it := range items {
-		out[i].Name = it.Name
+		out[i] = RepairBatchResult{Name: it.Name, Result: results[i], Err: errs[i]}
 	}
-	workers := a.cfg.Workers
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				it := items[i]
-				if it.Program == nil {
-					out[i].Err = fmt.Errorf("spectre: batch item %d (%q): nil program", i, it.Name)
-					continue
-				}
-				out[i].Result, out[i].Err = a.repairWith(ctx, it.Program, 1)
-			}
-		}()
-	}
-	for i := range items {
-		if err := ctx.Err(); err != nil {
-			for j := i; j < len(items); j++ {
-				out[j].Err = err
-			}
-			break
-		}
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 	return out
 }
 
